@@ -6,8 +6,8 @@ from --b-file (digits, optionally "PRE | PER" for an eventually periodic
 bound).  Every output file embeds the run configuration and a format
 version; identical configurations produce byte-identical outputs.
 
-Exit codes: 2 invalid input, 3 truncation or precision exhausted,
-4 verification failure.
+Exit codes: 2 invalid input, 3 truncation, precision exhausted or an
+enumeration over its cap, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -19,16 +19,16 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import decomposition, factors, graph as graphmod, language, measures
-from .errors import (AmbiguousDigit, GlueFailed, HorizonExhausted, NegBetaError,
-                     NoLFound, PrefixTooShort, SpecPrefixTooShort,
-                     TruncationInsufficient)
+from .errors import (AmbiguousDigit, EnumerationCapExceeded, GlueFailed,
+                     HorizonExhausted, NegBetaError, NoLFound, PrefixTooShort,
+                     SpecPrefixTooShort, TruncationInsufficient)
 from .language import ShiftSpec, count_words, entropy_profile
 from .numeric import BetaValue, classify_d1, expand, golden_test
 
 FORMAT_VERSION = "negbeta/1"
 
 _TRUNCATION = (TruncationInsufficient, PrefixTooShort, SpecPrefixTooShort,
-               HorizonExhausted, AmbiguousDigit)
+               HorizonExhausted, AmbiguousDigit, EnumerationCapExceeded)
 
 
 class VerificationFailure(NegBetaError):

@@ -23,8 +23,8 @@ from typing import Optional
 from .errors import (GlueFailed, NoLFound, NoSelfLoop, NotInGM,
                      TruncationInsufficient)
 from .graph import GraphSlice, gap_scan, shortest_path_to_v0, walk
-from .language import ShiftSpec, is_admissible, periodic_block_ok
-from .order import Word, word
+from .language import ShiftSpec, _lex_words, is_admissible, periodic_block_ok
+from .order import Word, _primitive_root, word
 
 
 def c_words(graph: GraphSlice, L: int, n: int) -> list[Word]:
@@ -32,21 +32,12 @@ def c_words(graph: GraphSlice, L: int, n: int) -> list[Word]:
     labels of a path from V_L of length n-1 avoiding V_0 .. V_{L-1}."""
     _check_c_args(graph, L, n)
     first = graph.spine_label(L - 1)  # b_L
-    out: list[Word] = []
 
-    def rec(v: int, acc: list[int]):
-        if len(acc) == n - 1:
-            out.append((first, *acc))
-            return
-        for label in sorted(graph.out[v]):
-            dst = graph.out[v][label]
-            if dst >= L:
-                acc.append(label)
-                rec(dst, acc)
-                acc.pop()
+    def children(v: int) -> list[tuple[int, int]]:
+        return [(label, dst) for label, dst in sorted(graph.out[v].items())
+                if dst >= L]
 
-    rec(L, [])
-    return out
+    return list(_lex_words(L, n - 1, children, (first,)))
 
 
 def c_count(graph: GraphSlice, L: int, n: int) -> int:
@@ -271,14 +262,6 @@ class GlueResult:
         }
 
 
-def _least_period(w: Word) -> int:
-    n = len(w)
-    for r in range(1, n + 1):
-        if n % r == 0 and w == w[:r] * (n // r):
-            return r
-    return n
-
-
 def _assemble(words: list[Word], connectors: list[Word]) -> tuple[Word, Word]:
     x: tuple[int, ...] = ()
     for i, w in enumerate(words):
@@ -326,7 +309,7 @@ def glue(graph: GraphSlice, spec: ShiftSpec, L: int, M: int, words_in,
             x, block = _assemble(words, connectors)
             if periodic_block_ok(spec, block):
                 return GlueResult(words, connectors, gap, x, block,
-                                  _least_period(block), "paths", verified)
+                                  len(_primitive_root(block)), "paths", verified)
         except TruncationInsufficient:
             pass
 
@@ -338,7 +321,7 @@ def glue(graph: GraphSlice, spec: ShiftSpec, L: int, M: int, words_in,
             connectors = got
             x, block = _assemble(words, connectors)
             return GlueResult(words, connectors, gap, x, block,
-                              _least_period(block), "search", verified)
+                              len(_primitive_root(block)), "search", verified)
     raise GlueFailed(f"no admissible glue found with gap <= {gaps[-1]}")
 
 

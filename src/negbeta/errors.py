@@ -44,6 +44,10 @@ class PrefixTooShort(NegBetaError):
     """Graph construction needs more digits of the bound sequence."""
 
 
+class EnumerationCapExceeded(NegBetaError):
+    """An exhaustive check would enumerate more words than its fixed cap."""
+
+
 class TruncationInsufficient(NegBetaError):
     """The requested walk, path or count leaves the truncated graph slice."""
 

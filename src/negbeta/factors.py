@@ -14,11 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (NotOddPeriodic, OddOneRun, PatternMismatch, TooShort)
-from .language import (NO, UNDETERMINED, YES, ShiftSpec, is_admissible,
-                       iter_words)
+from .errors import (EnumerationCapExceeded, NotOddPeriodic, OddOneRun,
+                     PatternMismatch, TooShort)
+from .language import (NO, UNDETERMINED, YES, ShiftSpec, count_words,
+                       is_admissible, iter_words)
 from .numeric import golden_test
 from .order import EvPeriodicSeq, Word, word
+
+# verify_factor holds every admissible word of the chosen depth in memory
+# (about 50 MB at this cap); exact counting refuses deeper runs up front.
+_ENUMERATION_CAP = 1 << 18
 
 
 def x_language(n: int) -> list[Word]:
@@ -157,6 +162,11 @@ def verify_factor(code: SlidingBlockCode, spec: ShiftSpec, depth: int) -> Factor
     language."""
     if depth < code.window:
         raise TooShort("depth must reach the window length")
+    total = count_words(spec, depth).rows[-1]["count_words"]
+    if total > _ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"the admissible words of length {depth} outnumber the "
+            f"enumeration cap of {_ENUMERATION_CAP}")
     claims: list[ClaimResult] = []
     words_at_depth = list(iter_words(spec, depth))
 

@@ -6,6 +6,8 @@ the spine edge V_i -> V_{i+1} labelled b_{i+1}; the remaining out-edges
 carry digits on the admissible side of b_{i+1} (above it when i is odd,
 below when i is even) and drop back to the suffix-match state of the
 extended word.  Labelled paths from V_0 are exactly the admissible words.
+The edges come from the upper-bound track of the suffix-match automaton in
+`negbeta.language`, and `k_of` runs the same track as a plain matcher.
 
 The slice stores vertices 0..K only.  Operations never extrapolate: walks
 and counts that would leave the slice raise TruncationInsufficient.
@@ -18,46 +20,10 @@ from typing import Iterator, Optional
 
 from .errors import (PrefixTooShort, TruncationInsufficient,
                      TwoSidedUnsupported)
-from .language import ShiftSpec, follower_words, is_admissible
+from .language import (ShiftSpec, _lex_words, _Track, follower_words,
+                       is_admissible)
 from .order import (BoundSeq, EvPeriodicSeq, Word, bound_digit, bound_len,
                     word)
-
-
-def _failure_table(digits: list[int]) -> list[int]:
-    n = len(digits)
-    fail = [0] * (n + 1)
-    k = 0
-    for i in range(2, n + 1):
-        while k > 0 and digits[k] != digits[i - 1]:
-            k = fail[k]
-        if digits[k] == digits[i - 1]:
-            k += 1
-        fail[i] = k
-    return fail
-
-
-class _Matcher:
-    """Incremental suffix-prefix matching against a fixed pattern prefix."""
-
-    def __init__(self, digits: list[int]):
-        self.digits = digits
-        self.fail = _failure_table(digits)
-
-    def transition(self, state: int, a: int) -> int:
-        if state >= len(self.digits):
-            raise PrefixTooShort(
-                f"match length {state} reaches the end of the known pattern")
-        d = self.digits
-        while state > 0 and d[state] != a:
-            state = self.fail[state]
-        return state + 1 if d[state] == a else 0
-
-    def borders(self, state: int) -> Iterator[int]:
-        """All positive suffix-prefix match lengths compatible with a full
-        match of length `state` (the failure chain)."""
-        while state > 0:
-            yield state
-            state = self.fail[state]
 
 
 def k_of(bprefix: BoundSeq, w) -> int:
@@ -68,15 +34,17 @@ def k_of(bprefix: BoundSeq, w) -> int:
     the answer depend on unknown digits; otherwise PrefixTooShort.
     """
     w = word(w)
-    if isinstance(bprefix, EvPeriodicSeq):
-        digits = [bprefix.digit(i) for i in range(1, len(w) + 2)]
-    else:
-        digits = list(word(bprefix))
-    m = _Matcher(digits)
+    if not isinstance(bprefix, EvPeriodicSeq):
+        bprefix = word(bprefix)
+    track = _Track(bprefix, 0)
+    known = bound_len(bprefix)
     state = 0
     for a in w:
-        state = m.transition(state, a)
-    if state == len(digits) and state < len(w):
+        if state == known:
+            raise PrefixTooShort(
+                f"match length {state} reaches the end of the known pattern")
+        state = track.advance(state, a)
+    if state == known and state < len(w):
         raise PrefixTooShort(
             f"suffix matches the entire {state}-digit prefix; longer matches unknown")
     return state
@@ -129,43 +97,25 @@ class GraphSlice:
 
 def build_graph(b: BoundSeq, K: int) -> GraphSlice:
     """Build the slice V_0..V_K from a bound sequence known to at least
-    K + 2 digits, so every in-slice edge target is determined."""
+    K + 2 digits, so every in-slice edge target is determined.  The bound
+    must dominate its shifts in the alternating order, as the upper bound
+    of every ShiftSpec does."""
     if K < 0:
         raise ValueError("K >= 0 required")
     avail = bound_len(b)
     if avail < K + 2:
         raise PrefixTooShort(f"need {K + 2} digits, have {avail}")
     digits = [bound_digit(b, i) for i in range(1, K + 2)]
-    m = _Matcher(digits)
+    track = _Track(digits, 1)
     alphabet = digits[0]
-    out: list[dict[int, int]] = [dict() for _ in range(K + 1)]
-    for i in range(K + 1):
-        nxt = digits[i]  # b_{i+1}
-        if i < K:
-            out[i][nxt] = i + 1
-        if i % 2 == 1:
-            candidates = range(nxt + 1, alphabet + 1)
-        else:
-            candidates = range(1, nxt)
-        for a in candidates:
-            # b_1..b_i followed by a must stay admissible: test every live
-            # suffix tie (the border chain of i) against the bound digit.
-            ok = True
-            for ell in (0, *m.borders(i)):
-                p = ell + 1
-                d = digits[p - 1]
-                if (a > d) if p % 2 == 1 else (a < d):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            j = m.transition(i, a)
-            if j > i:
-                raise AssertionError("non-spine edge may not climb")
-            out[i][a] = j
+    out: list[dict[int, int]] = [{} for _ in range(K + 1)]
+    for i, table in enumerate(out):
+        for a in range(1, alphabet + 1):
+            j = track.advance(i, a)
+            if j is not None and j <= K:  # the spine edge from V_K leaves
+                table[a] = j
     complete = tuple(i < K for i in range(K + 1))
-    return GraphSlice(K, tuple(digits), tuple({k: v for k, v in sorted(t.items())}
-                                              for t in out), complete, alphabet)
+    return GraphSlice(K, tuple(digits), tuple(out), complete, alphabet)
 
 
 def build_graph_for_spec(spec: ShiftSpec, K: int) -> GraphSlice:
@@ -213,20 +163,12 @@ def path_count(graph: GraphSlice, n: int, start: int = 0) -> int:
 
 def path_words(graph: GraphSlice, n: int, start: int = 0) -> Iterator[Word]:
     """All length-n labelled path words from `start`, lexicographically."""
+    if n < 0:
+        raise ValueError(n)
     if start + n > graph.K:
         raise TruncationInsufficient(
             f"length-{n} paths from V_{start} can leave the K={graph.K} slice")
-
-    def rec(v: int, depth: int, acc: list[int]) -> Iterator[Word]:
-        if depth == n:
-            yield tuple(acc)
-            return
-        for label in sorted(graph.out[v]):
-            acc.append(label)
-            yield from rec(graph.out[v][label], depth + 1, acc)
-            acc.pop()
-
-    yield from rec(start, 0, [])
+    yield from _lex_words(start, n, lambda v: sorted(graph.out[v].items()))
 
 
 def shortest_path_to_v0(graph: GraphSlice, i: int) -> tuple[int, Word]:

@@ -6,6 +6,11 @@ order) and, in the purely-odd-periodic case, a derived lower bound.  A word
 is admissible when every suffix stays within the bounds compared against
 the corresponding bound prefix; ties at the end of a finite comparison are
 within bounds.
+
+Enumeration, counting, follower sets and mixing searches all run on one
+suffix-match automaton whose state is the pair of longest suffix ties with
+the upper and lower bound prefixes.  The graph layer reuses its upper-bound
+track: its vertex V_k is the upper match length k.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from typing import Iterator, Optional
 
 from .errors import HorizonExhausted, NotOddPeriodic, SpecPrefixTooShort
 from .numeric import BetaValue, classify_d1, expand
-from .order import (GT, LT, BoundSeq, EvPeriodicSeq, Word, alt_cmp_seq,
-                    bound_digit, bound_len, is_alt_shift_maximal, rotations,
-                    word)
+from .order import (GT, LT, BoundSeq, EvPeriodicSeq, Word, _alt_sign,
+                    _failure_table, alt_cmp_seq, bound_digit, bound_len,
+                    is_alt_shift_maximal, rotations, word)
 
 YES, NO, UNDETERMINED = "yes", "no", "undetermined"
 
@@ -53,13 +58,12 @@ class ShiftSpec:
         if not isinstance(upper, EvPeriodicSeq):
             upper = word(upper)
         check = is_alt_shift_maximal(upper, alphabet)
+        if check.status == "no" and check.witness is None:
+            raise ValueError("first digit of the upper bound must be the alphabet maximum")
         if check.status == "no":
             raise ValueError(
                 f"upper bound is not alternately shift maximal (shift {check.witness})")
-        first = bound_digit(upper, 1)
-        alph = alphabet if alphabet is not None else first
-        if first != alph:
-            raise ValueError("first digit of the upper bound must be the alphabet maximum")
+        alph = bound_digit(upper, 1)
         if lower == "derived":
             lower = derived_lower_bound(upper)
         if lower is not None and not isinstance(lower, EvPeriodicSeq):
@@ -116,10 +120,7 @@ def _suffix_vs_upper(spec: ShiftSpec, s: Word) -> Optional[bool]:
         if d is None:
             return None
         if a != d:
-            s_ = (a > d) - (a < d)
-            if i % 2 == 0:
-                s_ = -s_
-            return s_ > 0
+            return _alt_sign(i, a, d) > 0
     return False
 
 
@@ -128,10 +129,7 @@ def _suffix_vs_lower(lower: EvPeriodicSeq, s: Word) -> bool:
     for i, a in enumerate(s, start=1):
         d = lower.digit(i)
         if a != d:
-            s_ = (a > d) - (a < d)
-            if i % 2 == 0:
-                s_ = -s_
-            return s_ < 0
+            return _alt_sign(i, a, d) < 0
     return False
 
 
@@ -159,67 +157,145 @@ def is_admissible(spec: ShiftSpec, w) -> str:
     return UNDETERMINED if undecided else YES
 
 
-def _violation_tables(spec: ShiftSpec):
-    """Closures deciding, for a live tie of length ell, whether appending
-    digit a breaks a bound at position ell+1, plus the digit streams."""
-    up = spec.upper_digit
-    lo = spec.lower.digit if spec.two_sided else None
+class _Track:
+    """Suffix matching against one bound sequence (a KMP automaton).
 
-    def upper_viol(ell: int, a: int) -> bool:
-        p = ell + 1
-        d = up(p)
-        if d is None:
-            raise SpecPrefixTooShort(f"upper bound needed at index {p}")
-        return a > d if p % 2 == 1 else a < d
+    A state is the length k of the longest suffix of the word read so far
+    that ties the bound prefix b_1 .. b_k.  The live ties are k and its
+    border chain fail[k], fail[fail[k]], ..., 0; appending a digit compares
+    it with b_{ell+1} at every live tie ell.  `sense` is the alternating
+    sign that breaks the bound: +1 for an upper bound, -1 for a lower
+    bound, 0 for plain matching.  An upper bound must dominate its shifts
+    (as every spec's upper bound does): then a digit that extends some tie
+    breaks none of the shorter ones.  Results are memoised per instance.
+    """
 
-    def lower_viol(ell: int, a: int) -> bool:
-        p = ell + 1
-        d = lo(p)
-        return a < d if p % 2 == 1 else a > d
+    def __init__(self, bound: BoundSeq, sense: int):
+        self.bound = bound
+        self.sense = sense
+        self.finite = not isinstance(bound, EvPeriodicSeq)
+        self.digits = list(bound if self.finite else bound.prefix(
+            len(bound.preperiod) + len(bound.period) + 1))
+        self.fail = _failure_table(self.digits)
+        self.memo: dict[int, dict[int, Optional[int]]] = {}  # a -> k -> answer
 
-    return upper_viol, (lower_viol if spec.two_sided else None), up, lo
+    def advance(self, k: int, a: int) -> Optional[int]:
+        """The match length after appending digit a, or None when a breaks
+        the bound at a live tie."""
+        digits = self.digits
+        if k == len(digits):
+            if self.finite:
+                raise SpecPrefixTooShort(f"upper bound needed at index {k + 1}")
+            digits = self.digits = list(self.bound.prefix(2 * k))
+            self.fail = _failure_table(digits)
+        sense = self.sense
+        # Walk down the chain to a tie that decides; every tie passed on the
+        # way (no violation, and no match for upper bounds) shares its answer.
+        chain = []
+        while True:
+            d = digits[k]
+            if d == a and sense >= 0:
+                got = k + 1
+            elif d != a and _alt_sign(k + 1, a, d) == sense:
+                got = None
+            elif k == 0:
+                got = 1 if d == a else 0
+            else:
+                memo = self.memo.setdefault(a, {})
+                chain.append(k)
+                k = self.fail[k]
+                got = memo.get(k, memo)
+                if got is memo:
+                    continue
+            break
+        for k in reversed(chain):
+            if got is not None and digits[k] == a:
+                got = k + 1  # the longest tie of a lower bound that a extends
+            memo[k] = got
+        return got
+
+
+class _Automaton:
+    """The suffix-match automaton of a shift.
+
+    A state is the pair (upper match length, lower match length); the
+    lower one stays 0 for one-sided shifts.  Successor lists are built
+    lazily and memoised per instance.
+    """
+
+    start = (0, 0)
+
+    def __init__(self, spec: ShiftSpec):
+        self.alphabet = spec.alphabet
+        self.upper = _Track(spec.upper, 1)
+        self.lower = _Track(spec.lower, -1) if spec.two_sided else None
+        self._succ: dict = {}
+
+    def step(self, state: tuple[int, int], a: int) -> Optional[tuple[int, int]]:
+        """The next state, or None when digit a breaks a bound."""
+        u = self.upper.advance(state[0], a)
+        if u is None:
+            return None
+        if self.lower is None:
+            return u, 0
+        lo = self.lower.advance(state[1], a)
+        return None if lo is None else (u, lo)
+
+    def successors(self, state: tuple[int, int]) -> tuple:
+        """(digit, next state) for every digit accepted at `state`, in
+        increasing digit order."""
+        got = self._succ.get(state)
+        if got is None:
+            steps = ((a, self.step(state, a)) for a in range(1, self.alphabet + 1))
+            got = self._succ[state] = tuple((a, t) for a, t in steps if t is not None)
+        return got
+
+    def run(self, w: Word) -> tuple[int, int]:
+        """The state reached by an admissible word; ValueError otherwise."""
+        state = self.start
+        for a in w:
+            # a digit above the alphabet breaks the empty tie before any other
+            state = self.step(state, a) if a <= self.alphabet else None
+            if state is None:
+                raise ValueError(f"{w} is not admissible")
+        return state
+
+
+def _lex_words(start, n: int, children, head: Word = ()) -> Iterator[Word]:
+    """head followed by the labels of every length-n path from `start`, in
+    lexicographic order; children(node) lists (label, next node) pairs in
+    increasing label order.  An explicit stack replaces recursion, so n is
+    limited by memory only."""
+    if n == 0:
+        yield head
+        return
+    acc = list(head)
+    stack = [iter(children(start))]
+    while stack:
+        for label, node in stack[-1]:
+            if len(stack) == n:
+                yield (*acc, label)
+            else:
+                acc.append(label)
+                stack.append(iter(children(node)))
+                break
+        else:
+            stack.pop()
+            if stack:
+                acc.pop()
 
 
 def iter_words(spec: ShiftSpec, n: int) -> Iterator[Word]:
     """All admissible words of length n, in lexicographic order.
 
-    Words are grown digit by digit; a prefix is extended only by digits
-    that break no bound at any live suffix tie, which is the incremental
-    arrangement of the per-suffix membership rule.
+    Words are grown digit by digit through the suffix-match automaton,
+    which refuses a digit that breaks a bound at a live suffix tie: the
+    incremental arrangement of the per-suffix membership rule.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    upper_viol, lower_viol, up, lo = _violation_tables(spec)
-    alphabet = range(1, spec.alphabet + 1)
-
-    def rec(prefix: list[int], ties_up: tuple[int, ...], ties_lo: tuple[int, ...]):
-        depth = len(prefix)
-        for a in alphabet:
-            bad = False
-            for ell in (0, *ties_up):
-                if upper_viol(ell, a):
-                    bad = True
-                    break
-            if bad:
-                continue
-            if lower_viol is not None:
-                for ell in (0, *ties_lo):
-                    if lower_viol(ell, a):
-                        bad = True
-                        break
-                if bad:
-                    continue
-            new_up = tuple(ell + 1 for ell in (*ties_up, 0) if up(ell + 1) == a)
-            new_lo = (tuple(ell + 1 for ell in (*ties_lo, 0) if lo(ell + 1) == a)
-                      if lower_viol is not None else ())
-            prefix.append(a)
-            if depth + 1 == n:
-                yield tuple(prefix)
-            else:
-                yield from rec(prefix, new_up, new_lo)
-            prefix.pop()
-
-    yield from rec([], (), ())
+    aut = _Automaton(spec)
+    yield from _lex_words(aut.start, n, aut.successors)
 
 
 def enumerate_words(spec: ShiftSpec, n: int) -> list[Word]:
@@ -244,36 +320,23 @@ class CountTable:
 
 
 def count_words(spec: ShiftSpec, nmax: int, with_per: bool = False) -> CountTable:
-    """Exact word counts for every length up to nmax (one pruned search)."""
-    counts = [0] * (nmax + 1)
-    upper_viol, lower_viol, up, lo = _violation_tables(spec)
-    alphabet = range(1, spec.alphabet + 1)
-
-    def rec(depth: int, ties_up, ties_lo):
-        for a in alphabet:
-            ok = True
-            for ell in (0, *ties_up):
-                if upper_viol(ell, a):
-                    ok = False
-                    break
-            if ok and lower_viol is not None:
-                for ell in (0, *ties_lo):
-                    if lower_viol(ell, a):
-                        ok = False
-                        break
-            if not ok:
-                continue
-            counts[depth + 1] += 1
-            if depth + 1 < nmax:
-                new_up = tuple(ell + 1 for ell in (*ties_up, 0) if up(ell + 1) == a)
-                new_lo = (tuple(ell + 1 for ell in (*ties_lo, 0) if lo(ell + 1) == a)
-                          if lower_viol is not None else ())
-                rec(depth + 1, new_up, new_lo)
-
-    rec(0, (), ())
+    """Exact word counts for every length up to nmax: a layer-by-layer sum
+    of path multiplicities over the states of the suffix-match automaton."""
+    if nmax < 1:
+        raise ValueError("nmax >= 1 required")
+    aut = _Automaton(spec)
+    layer = {aut.start: 1}
+    counts = []
+    for _n in range(nmax):
+        nxt: dict[tuple[int, int], int] = {}
+        for state, c in layer.items():
+            for _a, t in aut.successors(state):
+                nxt[t] = nxt.get(t, 0) + c
+        layer = nxt
+        counts.append(sum(layer.values()))
     rows = []
-    for n in range(1, nmax + 1):
-        row = {"n": n, "count_words": counts[n], "exact": True}
+    for n, count in enumerate(counts, start=1):
+        row = {"n": n, "count_words": count, "exact": True}
         if with_per:
             row["count_per"] = per_count(spec, n)
         rows.append(row)
@@ -287,10 +350,7 @@ def _seq_leq_upper(spec: ShiftSpec, s: EvPeriodicSeq) -> bool:
     for i in range(1, horizon + 1):
         a, d = s.digit(i), spec.upper[i - 1]
         if a != d:
-            sg = (a > d) - (a < d)
-            if i % 2 == 0:
-                sg = -sg
-            return sg < 0
+            return _alt_sign(i, a, d) < 0
     raise HorizonExhausted(
         f"{s} ties the {horizon}-digit upper prefix; extend the prefix")
 
@@ -328,106 +388,34 @@ def mixing_witness(spec: ShiftSpec, v, w, nmax: int) -> Optional[int]:
     v, w = word(v), word(w)
     if is_admissible(spec, v) != YES or is_admissible(spec, w) != YES:
         raise ValueError("v and w must be admissible")
-    upper_viol, lower_viol, up, lo = _violation_tables(spec)
+    aut = _Automaton(spec)
 
     for n in range(nmax + 1):
-        forced: dict[int, int] = {}
-        conflict = False
-        for i, d in enumerate(v, start=1):
-            forced[i] = d
-        for i, d in enumerate(w, start=1):
-            pos = n + i
-            if forced.get(pos, d) != d:
-                conflict = True
-                break
-            forced[pos] = d
-        if conflict:
+        forced = dict(enumerate(v, start=1))
+        if any(forced.setdefault(n + i, d) != d for i, d in enumerate(w, start=1)):
             continue
-        total = max(len(v), n + len(w))
 
-        def rec(depth: int, ties_up, ties_lo) -> bool:
+        def children(node):
+            # a node is (depth, state); forced positions admit one digit
+            depth, state = node
             want = forced.get(depth + 1)
-            digits = (want,) if want is not None else range(1, spec.alphabet + 1)
-            for a in digits:
-                ok = True
-                for ell in (0, *ties_up):
-                    if upper_viol(ell, a):
-                        ok = False
-                        break
-                if ok and lower_viol is not None:
-                    for ell in (0, *ties_lo):
-                        if lower_viol(ell, a):
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                if depth + 1 == total:
-                    return True
-                new_up = tuple(ell + 1 for ell in (*ties_up, 0) if up(ell + 1) == a)
-                new_lo = (tuple(ell + 1 for ell in (*ties_lo, 0) if lo(ell + 1) == a)
-                          if lower_viol is not None else ())
-                if rec(depth + 1, new_up, new_lo):
-                    return True
-            return False
+            return [(a, (depth + 1, t)) for a, t in aut.successors(state)
+                    if want is None or a == want]
 
-        if rec(0, (), ()):
+        total = max(len(v), n + len(w))
+        if next(_lex_words((0, aut.start), total, children), None) is not None:
             return n
     return None
-
-
-def _ties_of(spec: ShiftSpec, w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Live suffix ties of an admissible word against both bounds."""
-    upper_viol, lower_viol, up, lo = _violation_tables(spec)
-    ties_up: tuple[int, ...] = ()
-    ties_lo: tuple[int, ...] = ()
-    for a in w:
-        for ell in (0, *ties_up):
-            if upper_viol(ell, a):
-                raise ValueError(f"{w} is not admissible")
-        if lower_viol is not None:
-            for ell in (0, *ties_lo):
-                if lower_viol(ell, a):
-                    raise ValueError(f"{w} is not admissible")
-        ties_up = tuple(ell + 1 for ell in (*ties_up, 0) if up(ell + 1) == a)
-        if lower_viol is not None:
-            ties_lo = tuple(ell + 1 for ell in (*ties_lo, 0) if lo(ell + 1) == a)
-    return ties_up, ties_lo
 
 
 def follower_words(spec: ShiftSpec, w, depth: int) -> list[Word]:
     """All length-`depth` words u with w u admissible."""
     w = word(w)
-    ties_up, ties_lo = _ties_of(spec, w)
-    upper_viol, lower_viol, up, lo = _violation_tables(spec)
-    out: list[Word] = []
-
-    def rec(acc: list[int], tu, tl):
-        for a in range(1, spec.alphabet + 1):
-            ok = True
-            for ell in (0, *tu):
-                if upper_viol(ell, a):
-                    ok = False
-                    break
-            if ok and lower_viol is not None:
-                for ell in (0, *tl):
-                    if lower_viol(ell, a):
-                        ok = False
-                        break
-            if not ok:
-                continue
-            acc.append(a)
-            if len(acc) == depth:
-                out.append(tuple(acc))
-            else:
-                new_up = tuple(ell + 1 for ell in (*tu, 0) if up(ell + 1) == a)
-                new_lo = (tuple(ell + 1 for ell in (*tl, 0) if lo(ell + 1) == a)
-                          if lower_viol is not None else ())
-                rec(acc, new_up, new_lo)
-            acc.pop()
-
-    if depth >= 1:
-        rec([], ties_up, ties_lo)
-    return out
+    aut = _Automaton(spec)
+    state = aut.run(w)
+    if depth < 1:
+        return []
+    return list(_lex_words(state, depth, aut.successors))
 
 
 def periodic_block_ok(spec: ShiftSpec, p) -> bool:
@@ -475,17 +463,6 @@ def eventually_periodic_completion(spec: ShiftSpec, w, max_extra: int = 6,
                     continue
                 if seq_within_bounds(spec, cand):
                     return cand
-    return None
-
-
-def periodic_completion(spec: ShiftSpec, w, max_extra: int = 20) -> Optional[Word]:
-    """Search for a block extending w whose periodic repetition is within
-    bounds, certifying that w occurs in a genuine point of the shift."""
-    w = word(w)
-    for extra in range(max_extra + 1):
-        for u in _extensions(spec, w, extra):
-            if periodic_block_ok(spec, u):
-                return u
     return None
 
 

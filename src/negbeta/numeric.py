@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import AmbiguousDigit, DomainError, UndecidableOrder
-from .order import EvPeriodicSeq, Word, word
+from .order import EvPeriodicSeq, Word, _alt_sign, word
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -298,10 +298,7 @@ def golden_test(beta: BetaValue, horizon: int = 64, max_bits: int = 4096) -> str
         a = got.digits[i - 1]
         t = GOLDEN_UPPER.digit(i)
         if a != t:
-            s = (a > t) - (a < t)
-            if i % 2 == 0:
-                s = -s
-            return "below" if s < 0 else "at_or_above"
+            return "below" if _alt_sign(i, a, t) < 0 else "at_or_above"
     if beta.label == "golden":
         return "at_or_above"
     if beta.is_exact:

@@ -130,9 +130,9 @@ class EvPeriodicSeq:
         return f"{pre}({per})^inf" if pre else f"({per})^inf"
 
 
-def _primitive_root(w: Word) -> Word:
-    # Smallest period via the classic failure function; w is a proper power
-    # exactly when its length is a multiple of that period.
+def _failure_table(w) -> list[int]:
+    # fail[i] is the length of the longest proper border of w[:i]; the
+    # borders of w[:i] are fail[i], fail[fail[i]], ..., 0.
     n = len(w)
     fail = [0] * (n + 1)
     k = 0
@@ -142,8 +142,15 @@ def _primitive_root(w: Word) -> Word:
         if w[k] == w[i - 1]:
             k += 1
         fail[i] = k
-    r = n - fail[n]
-    return w[:r] if n % r == 0 else w
+    return fail
+
+
+def _primitive_root(w: Word) -> Word:
+    # w is a proper power exactly when its length is a multiple of its
+    # smallest period n - fail[n] (0 only for the empty word).
+    n = len(w)
+    r = n - _failure_table(w)[n]
+    return w[:r] if r and n % r == 0 else w
 
 
 def alt_cmp_seq(s: EvPeriodicSeq, t: EvPeriodicSeq) -> int:

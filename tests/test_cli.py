@@ -1,4 +1,5 @@
 import json
+import time
 
 from negbeta.cli import main
 
@@ -93,3 +94,13 @@ def test_exit_codes(tmp_path):
     # a slice deeper than the certified prefix cannot be built
     assert run(["graph", "--beta", "5/2", "--K", "300", "--horizon", "40",
                 "--out", out]) == 3
+
+
+def test_factor_depth_over_enumeration_cap(tmp_path, capsys):
+    # about 3 * 2^1099 words: exact counting refuses before enumerating
+    start = time.perf_counter()
+    assert run(["factor", "--beta", "2", "--depth", "1100",
+                "--out", tmp_path / "deep"]) == 3
+    assert time.perf_counter() - start < 30
+    err = capsys.readouterr().err
+    assert "enumeration cap" in err and "Traceback" not in err

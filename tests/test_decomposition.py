@@ -31,6 +31,15 @@ def test_c_words_examples():
         c_count(GS, 3, 23)
 
 
+def test_c_words_long_excursion():
+    # the walker keeps an explicit stack, so a length far beyond the
+    # interpreter's recursion limit is fine
+    gs = build_graph_for_spec(GOLDEN, 1101)
+    got = c_words(gs, 2, 1100)
+    assert len(got) == c_count(gs, 2, 1100) == 1
+    assert got == [(1,) * 1100]
+
+
 def test_c_words_are_excursions():
     for L in (1, 2, 3):
         for n in range(1, 7):

@@ -1,12 +1,14 @@
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from negbeta import oracle
 from negbeta.errors import NotOddPeriodic, SpecPrefixTooShort
+from negbeta.graph import build_graph_for_spec, k_of, path_count
 from negbeta.language import (CountTable, ShiftSpec, count_words,
                               derived_lower_bound, entropy_profile,
                               enumerate_words, eventually_periodic_completion,
@@ -14,7 +16,7 @@ from negbeta.language import (CountTable, ShiftSpec, count_words,
                               mixing_witness, per_count, per_points,
                               periodic_block_ok, seq_within_bounds)
 from negbeta.numeric import BetaValue
-from negbeta.order import EvPeriodicSeq, word
+from negbeta.order import EvPeriodicSeq, is_alt_shift_maximal, word
 
 GOLDEN = ShiftSpec.golden()
 FIG = ShiftSpec.make(EvPeriodicSeq.make((), word("3232133")))
@@ -29,6 +31,13 @@ def test_spec_construction():
         ShiftSpec.make(EvPeriodicSeq.make((1,), (2,)))  # not shift maximal
     with pytest.raises(NotOddPeriodic):
         derived_lower_bound(EvPeriodicSeq.make((2,), (1,)))
+
+
+def test_spec_first_digit_message():
+    with pytest.raises(ValueError, match="first digit of the upper bound"):
+        ShiftSpec.make((1, 2))
+    with pytest.raises(ValueError, match=r"shift maximal \(shift 1\)"):
+        ShiftSpec.make((2, 2, 1))
 
 
 def test_admissibility_examples():
@@ -197,3 +206,49 @@ def test_per_points_prefix_mode_horizon():
     # both one-digit branches have genuine fixed points below the bound
     assert per_points(spec13, 1) == [word("1"), word("2")]
     assert per_points(spec13, 2) == [word("11"), word("22")]
+
+
+# Rational bases in (1, 4) give the integer two-sided specs (beta = 2, 3)
+# and prefix specs; eventually periodic one-sided bounds come from drawn
+# digit blocks that dominate their shifts.
+_RATIONAL_SPECS = (st.builds(F, st.integers(2, 23), st.integers(1, 6))
+                   .filter(lambda b: 1 < b < 4)
+                   .map(lambda b: ShiftSpec.from_beta(BetaValue.from_rational(b))))
+
+
+@st.composite
+def _bound_specs(draw):
+    upper = EvPeriodicSeq.make(draw(st.lists(st.integers(1, 3), max_size=2)),
+                               draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    assume(is_alt_shift_maximal(upper).status == "yes")
+    odd = not upper.preperiod and len(upper.period) % 2 == 1 and upper.period[-1] > 1
+    lower = "derived" if odd and draw(st.booleans()) else None
+    return ShiftSpec.make(upper, lower=lower)
+
+
+@given(st.one_of(_RATIONAL_SPECS, _bound_specs()), st.data())
+@settings(max_examples=100, deadline=None)
+def test_fast_paths_match_oracle_on_generated_bounds(spec, data):
+    alphabet = range(1, spec.alphabet + 1)
+    nmax = max(n for n in range(1, 8) if spec.alphabet ** n <= 3 ** 7)
+    counts = [r["count_words"] for r in count_words(spec, nmax).rows]
+    graph = None if spec.two_sided else build_graph_for_spec(spec, nmax)
+    admissible = {}
+    for n in range(1, nmax + 1):
+        words = list(itertools.product(alphabet, repeat=n))
+        admissible[n] = [w for w in words if oracle.naive_admissible(spec, w) == "yes"]
+        assert list(iter_words(spec, n)) == admissible[n]
+        assert counts[n - 1] == len(admissible[n])
+        if graph is not None:
+            assert path_count(graph, n) == counts[n - 1]
+    klen = min(nmax, 6)
+    pattern = spec.upper if spec.prefix_mode else spec.upper.prefix(klen + 1)
+    for w in itertools.product(alphabet, repeat=klen):
+        assert k_of(spec.upper, w) == oracle.naive_k(pattern, w)
+    m = data.draw(st.integers(1, 4))
+    assume(admissible[m])
+    w = data.draw(st.sampled_from(admissible[m]))
+    depth = data.draw(st.integers(1, nmax - m)) if nmax > m else 1
+    expected = [u for u in itertools.product(alphabet, repeat=depth)
+                if oracle.naive_admissible(spec, w + u) == "yes"]
+    assert follower_words(spec, w, depth) == expected
