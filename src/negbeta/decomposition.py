@@ -287,6 +287,8 @@ def glue(graph: GraphSlice, spec: ShiftSpec, L: int, M: int, words_in,
     words = [word(w) for w in words_in]
     if not words:
         raise ValueError("nothing to glue")
+    if not all(words):
+        raise ValueError("cannot glue an empty word")
     ends = []
     for w in words:
         vseq = walk(graph, w)

@@ -7,10 +7,12 @@ is admissible when every suffix stays within the bounds compared against
 the corresponding bound prefix; ties at the end of a finite comparison are
 within bounds.
 
-Enumeration, counting, follower sets and mixing searches all run on one
-suffix-match automaton whose state is the pair of longest suffix ties with
-the upper and lower bound prefixes.  The graph layer reuses its upper-bound
-track: its vertex V_k is the upper match length k.
+Enumeration, counting, follower sets, mixing searches, periodic blocks and
+eventually periodic points all run on one suffix-match automaton whose
+state is the pair of longest suffix ties with the upper and lower bound
+prefixes; a periodic point is read through it until the state at a block
+boundary repeats.  The graph layer reuses its upper-bound track: its
+vertex V_k is the upper match length k.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from typing import Iterator, Optional
 
 from .errors import HorizonExhausted, NotOddPeriodic, SpecPrefixTooShort
 from .numeric import BetaValue, classify_d1, expand
-from .order import (GT, LT, BoundSeq, EvPeriodicSeq, Word, _alt_sign,
-                    _failure_table, alt_cmp_seq, bound_digit, bound_len,
-                    is_alt_shift_maximal, rotations, word)
+from .order import (BoundSeq, EvPeriodicSeq, Word, _alt_sign, _failure_table,
+                    bound_digit, bound_len, is_alt_shift_maximal, word)
 
 YES, NO, UNDETERMINED = "yes", "no", "undetermined"
 
@@ -219,8 +220,8 @@ class _Automaton:
     """The suffix-match automaton of a shift.
 
     A state is the pair (upper match length, lower match length); the
-    lower one stays 0 for one-sided shifts.  Successor lists are built
-    lazily and memoised per instance.
+    lower one stays 0 for one-sided shifts.  Transitions and successor
+    lists are built lazily and memoised per instance.
     """
 
     start = (0, 0)
@@ -230,16 +231,21 @@ class _Automaton:
         self.upper = _Track(spec.upper, 1)
         self.lower = _Track(spec.lower, -1) if spec.two_sided else None
         self._succ: dict = {}
+        self._moves: dict = {}
 
     def step(self, state: tuple[int, int], a: int) -> Optional[tuple[int, int]]:
         """The next state, or None when digit a breaks a bound."""
-        u = self.upper.advance(state[0], a)
-        if u is None:
-            return None
-        if self.lower is None:
-            return u, 0
-        lo = self.lower.advance(state[1], a)
-        return None if lo is None else (u, lo)
+        got = self._moves.get((state, a), self)
+        if got is self:
+            got = self.upper.advance(state[0], a)
+            if got is not None:
+                if self.lower is None:
+                    got = got, 0
+                else:
+                    lo = self.lower.advance(state[1], a)
+                    got = None if lo is None else (got, lo)
+            self._moves[state, a] = got
+        return got
 
     def successors(self, state: tuple[int, int]) -> tuple:
         """(digit, next state) for every digit accepted at `state`, in
@@ -343,16 +349,57 @@ def count_words(spec: ShiftSpec, nmax: int, with_per: bool = False) -> CountTabl
     return CountTable(rows)
 
 
-def _seq_leq_upper(spec: ShiftSpec, s: EvPeriodicSeq) -> bool:
-    if isinstance(spec.upper, EvPeriodicSeq):
-        return alt_cmp_seq(s, spec.upper) != GT
-    horizon = len(spec.upper)
-    for i in range(1, horizon + 1):
-        a, d = s.digit(i), spec.upper[i - 1]
-        if a != d:
-            return _alt_sign(i, a, d) < 0
-    raise HorizonExhausted(
-        f"{s} ties the {horizon}-digit upper prefix; extend the prefix")
+def _point_ok(aut: _Automaton, head: Word, block: Word) -> bool:
+    """Exact membership of the point head block^inf, read digit by digit
+    through the automaton up to the first broken bound.
+
+    It lies in the shift once the state at a block boundary repeats (the
+    run from there repeats one already read) or once every shift of the
+    point has been compared with every bound, to a decision or to a tie
+    of a whole common period.
+    """
+    n = len(block)
+    horizon = len(head) + n - 1 + max(
+        # a finite prefix needs one digit past its end to show a whole tie
+        len(t.digits) + 1 if t.finite
+        else len(t.bound.preperiod) + math.lcm(n, len(t.bound.period))
+        for t in (aut.upper, aut.lower) if t is not None)
+    step, state, read = aut.step, aut.start, 0
+    try:
+        for a in head:
+            state = step(state, a)
+            if state is None:
+                return False
+            read += 1
+        seen = {state}
+        while True:
+            for a in block:
+                if read >= horizon:
+                    return True
+                state = step(state, a)
+                if state is None:
+                    return False
+                read += 1
+            if state in seen:
+                return True
+            seen.add(state)
+    except SpecPrefixTooShort:
+        # the shift that ties the whole prefix began len(prefix) digits ago
+        known = len(aut.upper.digits)
+        tie = EvPeriodicSeq.make(head, block).shift(read - known)
+        raise HorizonExhausted(
+            f"{tie} ties the {known}-digit upper prefix; extend the prefix") from None
+
+
+def _per_blocks(spec: ShiftSpec, n: int) -> Iterator[Word]:
+    """The period-n blocks in lexicographic order: one automaton walks the
+    admissible words of length n and reads each one's repetition."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    aut = _Automaton(spec)
+    for w in _lex_words(aut.start, n, aut.successors):
+        if _point_ok(aut, (), w):
+            yield w
 
 
 def per_points(spec: ShiftSpec, n: int) -> list[Word]:
@@ -361,11 +408,11 @@ def per_points(spec: ShiftSpec, n: int) -> list[Word]:
 
     Blocks of non-least period are included, matching sigma^n x = x.
     """
-    return [w for w in iter_words(spec, n) if periodic_block_ok(spec, w)]
+    return list(_per_blocks(spec, n))
 
 
 def per_count(spec: ShiftSpec, n: int) -> int:
-    return len(per_points(spec, n))
+    return sum(1 for _ in _per_blocks(spec, n))
 
 
 def entropy_profile(table: CountTable) -> list[dict]:
@@ -422,25 +469,15 @@ def periodic_block_ok(spec: ShiftSpec, p) -> bool:
     """Exact check that the periodic repetition of block p lies in the
     shift: every rotation, repeated, stays within the bounds."""
     p = word(p)
-    for r in rotations(p):
-        seq = EvPeriodicSeq.make((), r)
-        if not _seq_leq_upper(spec, seq):
-            return False
-        if spec.two_sided and alt_cmp_seq(seq, spec.lower) == LT:
-            return False
-    return True
+    if not p:
+        raise ValueError("a periodic block must be nonempty")
+    return _point_ok(_Automaton(spec), (), p)
 
 
 def seq_within_bounds(spec: ShiftSpec, seq: EvPeriodicSeq) -> bool:
     """Exact membership of an eventually periodic point: every shift stays
     within the bounds.  Distinct shifts are finite in number."""
-    for k in range(len(seq.preperiod) + len(seq.period)):
-        s = seq.shift(k)
-        if not _seq_leq_upper(spec, s):
-            return False
-        if spec.two_sided and alt_cmp_seq(s, spec.lower) == LT:
-            return False
-    return True
+    return _point_ok(_Automaton(spec), seq.preperiod, seq.period)
 
 
 def eventually_periodic_completion(spec: ShiftSpec, w, max_extra: int = 6,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import EmptyPer
-from .language import ShiftSpec, count_words, per_points
+from .language import CountTable, ShiftSpec, count_words, per_count, per_points
 from .order import Word, word
 
 
@@ -74,12 +74,12 @@ def mu_n(spec: ShiftSpec, n: int, m: int) -> EmpiricalMeasure:
     if not blocks:
         raise EmptyPer(f"no period-{n} blocks")
     N = len(blocks)
-    masses: dict[Word, Fraction] = {}
+    hits: dict[Word, int] = {}
     for p in blocks:
         for ell in range(1, m + 1):
             w = p[:ell]
-            masses[w] = masses.get(w, Fraction(0)) + Fraction(1, N)
-    return EmpiricalMeasure(n, m, N, masses)
+            hits[w] = hits.get(w, 0) + 1
+    return EmpiricalMeasure(n, m, N, {w: Fraction(c, N) for w, c in hits.items()})
 
 
 def mu_n_rotation_averaged(spec: ShiftSpec, n: int, m: int) -> EmpiricalMeasure:
@@ -92,14 +92,14 @@ def mu_n_rotation_averaged(spec: ShiftSpec, n: int, m: int) -> EmpiricalMeasure:
     if not blocks:
         raise EmptyPer(f"no period-{n} blocks")
     N = len(blocks)
-    masses: dict[Word, Fraction] = {}
+    hits: dict[Word, int] = {}
     for p in blocks:
         doubled = p + p
         for j in range(n):
             for ell in range(1, m + 1):
                 w = doubled[j: j + ell]
-                masses[w] = masses.get(w, Fraction(0)) + Fraction(1, N * n)
-    return EmpiricalMeasure(n, m, N, masses)
+                hits[w] = hits.get(w, 0) + 1
+    return EmpiricalMeasure(n, m, N, {w: Fraction(c, N * n) for w, c in hits.items()})
 
 
 @dataclass
@@ -127,12 +127,23 @@ def htop_estimate(spec: ShiftSpec, nmax: int, per_nmax: Optional[int] = None) ->
     with the periodic-block growth sequence as a secondary diagnostic."""
     if nmax < 2:
         raise ValueError("nmax >= 2 required")
-    table = count_words(spec, nmax)
+    return _estimate(spec, count_words(spec, nmax), per_nmax)
+
+
+def _estimate(spec: ShiftSpec, table: CountTable,
+              per_nmax: Optional[int] = None) -> EntropyEstimate:
+    """htop_estimate from a count table up to nmax; period-block counts
+    already in the table are reused, not counted again."""
+    nmax = len(table.rows)
+    if nmax < 2:
+        raise ValueError("nmax >= 2 required")
     counts = [r["count_words"] for r in table.rows]
     west = [math.log(c) / n if c > 0 else 0.0
             for n, c in enumerate(counts, start=1)]
     pn = per_nmax if per_nmax is not None else min(nmax, 12)
-    pcounts = [len(per_points(spec, n)) for n in range(1, pn + 1)]
+    known = {r["n"]: r["count_per"] for r in table.rows if "count_per" in r}
+    pcounts = [known[n] if n in known else per_count(spec, n)
+               for n in range(1, pn + 1)]
     pest = [math.log(c) / n if c > 0 else None
             for n, c in enumerate(pcounts, start=1)]
     return EntropyEstimate(west[-1], nmax, counts, pcounts, west, pest,

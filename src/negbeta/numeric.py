@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .errors import AmbiguousDigit, DomainError, UndecidableOrder
 from .order import EvPeriodicSeq, Word, _alt_sign, word
@@ -47,7 +47,7 @@ class IntervalValue:
         return (self.lo + self.hi) / 2
 
 
-UnitPoint = Union[Fraction, IntervalValue]
+UnitPoint = Fraction | IntervalValue
 
 Refiner = Callable[[int], tuple[Fraction, Fraction]]
 

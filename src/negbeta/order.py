@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .errors import LengthMismatch
 
@@ -169,7 +169,7 @@ def alt_cmp_seq(s: EvPeriodicSeq, t: EvPeriodicSeq) -> int:
     return EQ
 
 
-BoundSeq = Union[EvPeriodicSeq, Word]
+BoundSeq = EvPeriodicSeq | Word
 
 
 def bound_digit(b: BoundSeq, i: int) -> Optional[int]:

@@ -177,6 +177,13 @@ def test_glue_guards():
         glue(ones_graph, ones_spec, 1, 1, ["1"])
 
 
+def test_glue_refuses_empty_word():
+    with pytest.raises(ValueError, match="empty word"):
+        glue(GS, GOLDEN, 2, 4, [()])
+    with pytest.raises(ValueError, match="empty word"):
+        glue(GS, GOLDEN, 2, 4, ["2", ""])
+
+
 def test_glue_explicit_gap():
     res = glue(GS, GOLDEN, 2, 4, ["2", "2"], t=2)
     assert res.gap == 2

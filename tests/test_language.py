@@ -184,6 +184,13 @@ def test_periodic_block_ok():
     assert not periodic_block_ok(B2, word("23"))  # 3 forces 3 forever
 
 
+def test_periodic_block_refuses_empty_block():
+    with pytest.raises(ValueError, match="nonempty"):
+        periodic_block_ok(GOLDEN, ())
+    with pytest.raises(ValueError):
+        per_points(GOLDEN, 0)
+
+
 def test_two_sided_conservative_rule_certified():
     # every conservatively admissible short word occurs in a genuine
     # eventually periodic point; discrepancies would be reported here
@@ -233,19 +240,31 @@ def test_fast_paths_match_oracle_on_generated_bounds(spec, data):
     nmax = max(n for n in range(1, 8) if spec.alphabet ** n <= 3 ** 7)
     counts = [r["count_words"] for r in count_words(spec, nmax).rows]
     graph = None if spec.two_sided else build_graph_for_spec(spec, nmax)
-    admissible = {}
+    admissible, rejected, per = {}, {}, {}
     for n in range(1, nmax + 1):
         words = list(itertools.product(alphabet, repeat=n))
-        admissible[n] = [w for w in words if oracle.naive_admissible(spec, w) == "yes"]
+        verdicts = [oracle.naive_admissible(spec, w) for w in words]
+        admissible[n] = [w for w, v in zip(words, verdicts) if v == "yes"]
+        rejected[n] = [w for w, v in zip(words, verdicts) if v == "no"]
         assert list(iter_words(spec, n)) == admissible[n]
         assert counts[n - 1] == len(admissible[n])
         if graph is not None:
             assert path_count(graph, n) == counts[n - 1]
+        try:
+            per[n] = oracle.naive_per(spec, n)
+        except RuntimeError:  # a rotation ties the whole known prefix
+            per[n] = None
+        if per[n] is not None:
+            assert per_points(spec, n) == per[n]
     klen = min(nmax, 6)
     pattern = spec.upper if spec.prefix_mode else spec.upper.prefix(klen + 1)
     for w in itertools.product(alphabet, repeat=klen):
         assert k_of(spec.upper, w) == oracle.naive_k(pattern, w)
     m = data.draw(st.integers(1, 4))
+    if rejected[m] and per[m] is not None:
+        w = data.draw(st.sampled_from(rejected[m]))
+        assert w not in per[m]
+        assert periodic_block_ok(spec, w) is False
     assume(admissible[m])
     w = data.draw(st.sampled_from(admissible[m]))
     depth = data.draw(st.integers(1, nmax - m)) if nmax > m else 1

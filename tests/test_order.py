@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import negbeta
 from negbeta.errors import LengthMismatch
 from negbeta.order import (EQ, GT, LT, EvPeriodicSeq, alt_cmp, alt_cmp_seq,
                            cmp_prefix, is_alt_shift_maximal, rotations, word)
@@ -108,3 +114,31 @@ def test_cmp_prefix_and_rotations():
     assert cmp_prefix(word("22"), g) == LT
     assert cmp_prefix(word("3"), g) == GT
     assert rotations(word("123")) == [word("123"), word("231"), word("312")]
+
+
+_REIMPORT = """
+import gc, importlib, sys, weakref
+refs = []
+for _ in range(3):
+    for name in [m for m in sys.modules if m == "negbeta" or m.startswith("negbeta.")]:
+        del sys.modules[name]
+    importlib.import_module("negbeta.cli")
+    order, numeric = sys.modules["negbeta.order"], sys.modules["negbeta.numeric"]
+    refs.append([weakref.ref(order), weakref.ref(order.EvPeriodicSeq),
+                 weakref.ref(numeric.IntervalValue)])
+    del order, numeric
+gc.collect()
+print([[r() is None for r in got] for got in refs])
+"""
+
+
+def test_reimport_frees_earlier_copies():
+    # Module-level type aliases must not pin a class of the package (and so
+    # its module globals) in a cache of the typing module: a process that
+    # imports the package afresh, as a benchmark's set-up does, would keep
+    # every earlier copy alive.
+    src = str(Path(negbeta.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _REIMPORT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == str([[True] * 3, [True] * 3, [False] * 3])
