@@ -118,7 +118,7 @@ def cmd_entropy(args) -> int:
     table = count_words(spec, args.n, with_per=args.n <= 14)
     _emit_text(args, "counts.csv", table.to_csv())
     profile_rows = entropy_profile(table)
-    est = measures._estimate(spec, table)
+    est = measures.htop_from_table(spec, table)
     payload = {"htop": est.to_json(), "profile": profile_rows}
     if not spec.two_sided:
         K = args.K or (args.L + args.n)

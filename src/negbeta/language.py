@@ -220,8 +220,9 @@ class _Automaton:
     """The suffix-match automaton of a shift.
 
     A state is the pair (upper match length, lower match length); the
-    lower one stays 0 for one-sided shifts.  Transitions and successor
-    lists are built lazily and memoised per instance.
+    lower one stays 0 for one-sided shifts.  The transitions out of a
+    state are built for the whole alphabet at its first visit and
+    memoised per instance.
     """
 
     start = (0, 0)
@@ -230,31 +231,33 @@ class _Automaton:
         self.alphabet = spec.alphabet
         self.upper = _Track(spec.upper, 1)
         self.lower = _Track(spec.lower, -1) if spec.two_sided else None
-        self._succ: dict = {}
-        self._moves: dict = {}
+        self._moves: dict = {}  # state -> {accepted digit: next state}
+
+    def _out(self, state: tuple[int, int]) -> dict:
+        got = self._moves.get(state)
+        if got is None:
+            got = {}
+            for a in range(1, self.alphabet + 1):
+                u = self.upper.advance(state[0], a)
+                if u is None:
+                    continue
+                if self.lower is None:
+                    got[a] = u, 0
+                else:
+                    lo = self.lower.advance(state[1], a)
+                    if lo is not None:
+                        got[a] = u, lo
+            self._moves[state] = got
+        return got
 
     def step(self, state: tuple[int, int], a: int) -> Optional[tuple[int, int]]:
         """The next state, or None when digit a breaks a bound."""
-        got = self._moves.get((state, a), self)
-        if got is self:
-            got = self.upper.advance(state[0], a)
-            if got is not None:
-                if self.lower is None:
-                    got = got, 0
-                else:
-                    lo = self.lower.advance(state[1], a)
-                    got = None if lo is None else (got, lo)
-            self._moves[state, a] = got
-        return got
+        return self._out(state).get(a)
 
-    def successors(self, state: tuple[int, int]) -> tuple:
+    def successors(self, state: tuple[int, int]):
         """(digit, next state) for every digit accepted at `state`, in
         increasing digit order."""
-        got = self._succ.get(state)
-        if got is None:
-            steps = ((a, self.step(state, a)) for a in range(1, self.alphabet + 1))
-            got = self._succ[state] = tuple((a, t) for a, t in steps if t is not None)
-        return got
+        return self._out(state).items()
 
     def run(self, w: Word) -> tuple[int, int]:
         """The state reached by an admissible word; ValueError otherwise."""
@@ -392,12 +395,11 @@ def _point_ok(aut: _Automaton, head: Word, block: Word) -> bool:
 
 
 def _per_blocks(spec: ShiftSpec, n: int) -> Iterator[Word]:
-    """The period-n blocks in lexicographic order: one automaton walks the
-    admissible words of length n and reads each one's repetition."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
+    """The period-n blocks in lexicographic order: the admissible words of
+    length n whose repetition stays in the shift, all read through one
+    automaton so that its memoised transitions serve every word."""
     aut = _Automaton(spec)
-    for w in _lex_words(aut.start, n, aut.successors):
+    for w in iter_words(spec, n):
         if _point_ok(aut, (), w):
             yield w
 

@@ -127,13 +127,14 @@ def htop_estimate(spec: ShiftSpec, nmax: int, per_nmax: Optional[int] = None) ->
     with the periodic-block growth sequence as a secondary diagnostic."""
     if nmax < 2:
         raise ValueError("nmax >= 2 required")
-    return _estimate(spec, count_words(spec, nmax), per_nmax)
+    return htop_from_table(spec, count_words(spec, nmax), per_nmax)
 
 
-def _estimate(spec: ShiftSpec, table: CountTable,
-              per_nmax: Optional[int] = None) -> EntropyEstimate:
-    """htop_estimate from a count table up to nmax; period-block counts
-    already in the table are reused, not counted again."""
+def htop_from_table(spec: ShiftSpec, table: CountTable,
+                    per_nmax: Optional[int] = None) -> EntropyEstimate:
+    """htop_estimate from a count table up to nmax (as count_words builds
+    it); period-block counts already in the table are reused, not counted
+    again, so a caller holding a table with_per counts each length once."""
     nmax = len(table.rows)
     if nmax < 2:
         raise ValueError("nmax >= 2 required")

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from negbeta import oracle
-from negbeta.errors import NotOddPeriodic, SpecPrefixTooShort
+from negbeta.errors import HorizonExhausted, NotOddPeriodic, SpecPrefixTooShort
 from negbeta.graph import build_graph_for_spec, k_of, path_count
 from negbeta.language import (CountTable, ShiftSpec, count_words,
                               derived_lower_bound, entropy_profile,
@@ -215,6 +215,29 @@ def test_per_points_prefix_mode_horizon():
     assert per_points(spec13, 2) == [word("11"), word("22")]
 
 
+def test_prefix_tie_raises_horizon_exhausted():
+    # 4/3 with five known digits 21122: a shift that repeats 2112 ties all
+    # five, so its verdict needs a sixth digit; the message names that shift
+    spec = ShiftSpec.from_beta(BetaValue.from_rational(F(4, 3)), prefix_len=5)
+    assert spec.upper == (2, 1, 1, 2, 2)
+
+    def tie(seq):
+        return rf"^{seq} ties the 5-digit upper prefix; extend the prefix$"
+
+    # the last rotation of 1122 ties: it is only seen at digit 4 + 5
+    with pytest.raises(HorizonExhausted, match=tie(r"\(2112\)\^inf")):
+        periodic_block_ok(spec, "1122")
+    with pytest.raises(HorizonExhausted, match=tie(r"\(21122\)\^inf")):
+        periodic_block_ok(spec, "21122")
+    with pytest.raises(HorizonExhausted, match=tie(r"\(2112\)\^inf")):
+        per_points(spec, 4)
+    with pytest.raises(HorizonExhausted, match=tie(r"\(2112\)\^inf")):
+        seq_within_bounds(spec, EvPeriodicSeq.make((1, 1), (1, 1, 2, 2)))
+    with pytest.raises(HorizonExhausted, match=tie(r"21122\(1\)\^inf")):
+        seq_within_bounds(spec, EvPeriodicSeq.make((2, 1, 1, 2, 2), (1,)))
+    assert per_points(spec, 3) == [word(w) for w in ("111", "112", "121", "211", "222")]
+
+
 # Rational bases in (1, 4) give the integer two-sided specs (beta = 2, 3)
 # and prefix specs; eventually periodic one-sided bounds come from drawn
 # digit blocks that dominate their shifts.
@@ -252,9 +275,12 @@ def test_fast_paths_match_oracle_on_generated_bounds(spec, data):
             assert path_count(graph, n) == counts[n - 1]
         try:
             per[n] = oracle.naive_per(spec, n)
-        except RuntimeError:  # a rotation ties the whole known prefix
+        except RuntimeError as exc:
+            assert "ties the whole known prefix" in str(exc)
             per[n] = None
-        if per[n] is not None:
+            with pytest.raises(HorizonExhausted, match="ties the .*-digit upper prefix"):
+                per_points(spec, n)
+        else:
             assert per_points(spec, n) == per[n]
     klen = min(nmax, 6)
     pattern = spec.upper if spec.prefix_mode else spec.upper.prefix(klen + 1)
