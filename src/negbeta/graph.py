@@ -261,7 +261,11 @@ def follower_equiv_check(spec: ShiftSpec, w, w2, depth: int) -> FollowerReport:
 
 def parse_bound_file(text: str) -> BoundSeq:
     """Parse a bound sequence file: digits separated by whitespace/commas,
-    with an optional "PRE | PER" split marking an eventually periodic tail."""
+    with an optional "PRE | PER" split marking an eventually periodic tail.
+
+    A token made only of the digits 1-9 is read digit by digit ("12" is 1, 2),
+    any other token as one integer ("10" is ten, "7" is seven), so a digit
+    above 9 must stand alone between separators."""
     cleaned = text.strip()
     if "|" in cleaned:
         pre_part, per_part = cleaned.split("|", 1)

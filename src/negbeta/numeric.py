@@ -2,9 +2,10 @@
 
 The map is x -> -bx + floor(bx) + 1 on (0, 1], extended by 0 -> 1.  Bases
 are exact rationals (preferred: every orbit value is an exact Fraction) or
-real intervals refined on demand, e.g. the golden ratio.  Interval results
-are only reported when the enclosure determines them; nothing is rounded
-silently.
+real intervals refined on demand, e.g. the golden ratio.  Every orbit runs
+on one integer-numerator kernel, `_orbit`: exact bases and intervals alike,
+exact and unrounded.  Interval results are only reported when the
+enclosure determines them; nothing is rounded silently.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from itertools import islice
+from typing import Callable, Iterator, Optional
 
 from .errors import AmbiguousDigit, DomainError, UndecidableOrder
 from .order import EvPeriodicSeq, Word, _alt_sign, word
@@ -85,7 +87,11 @@ class BetaValue:
         text = text.strip()
         if text == "golden":
             return BetaValue.golden(bits)
-        return BetaValue.from_rational(Fraction(text))
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError:
+            raise DomainError(f"beta {text} has a zero denominator") from None
+        return BetaValue.from_rational(value)
 
     @property
     def is_exact(self) -> bool:
@@ -138,13 +144,39 @@ class CertifiedDigits:
         return self.status[0] == "complete"
 
 
-def _check_unit(x: UnitPoint, allow_zero: bool) -> None:
+def _check_unit(x: UnitPoint, allow_zero: bool) -> tuple[Fraction, Fraction]:
     if isinstance(x, IntervalValue):
         lo, hi = x.lo, x.hi
     else:
         lo = hi = Fraction(x)
     if hi > 1 or lo < 0 or (not allow_zero and hi <= 0):
         raise DomainError(f"point {x} outside the unit interval")
+    return lo, hi
+
+
+def _orbit(beta: BetaValue, x: UnitPoint) -> Iterator[tuple[int, int, int, int]]:
+    """The orbit of x under the map, one (digit, lo, hi, den) per step.
+
+    The point after the step lies in [lo/den, hi/den]: the enclosure that
+    Fraction interval arithmetic gives, unreduced over one shared
+    denominator, which gains the factor lcm(beta's denominators) per step.
+    Nothing is rounded; exact beta and x keep lo == hi.  Raises
+    AmbiguousDigit once the enclosure straddles a cell boundary.
+    """
+    xlo, xhi = _check_unit(x, allow_zero=False)
+    blo, bhi = beta.bounds()
+    c = math.lcm(blo.denominator, bhi.denominator)
+    alo, ahi = int(blo * c), int(bhi * c)
+    den = math.lcm(xlo.denominator, xhi.denominator)
+    lo, hi = int(xlo * den), int(xhi * den)
+    while True:
+        den *= c
+        tlo, thi = alo * lo, ahi * hi
+        d = tlo // den + 1
+        if thi // den + 1 != d:
+            raise AmbiguousDigit(beta.bits)
+        lo, hi = d * den - thi, d * den - tlo
+        yield d, lo, hi, den
 
 
 def step(beta: BetaValue, x: UnitPoint) -> tuple[int, UnitPoint]:
@@ -155,38 +187,15 @@ def step(beta: BetaValue, x: UnitPoint) -> tuple[int, UnitPoint]:
     Exact in, exact out; interval inputs raise AmbiguousDigit when the
     enclosure straddles a cell boundary.
     """
-    if isinstance(x, int):
-        x = Fraction(x)
-    _check_unit(x, allow_zero=False)
-    if beta.is_exact and isinstance(x, Fraction):
-        if x <= 0:
-            raise DomainError(f"x = {x} not in (0, 1]")
-        t = beta.exact * x
-        d = math.floor(t) + 1
-        return d, d - t
-    blo, bhi = beta.bounds()
-    if isinstance(x, Fraction):
-        xlo = xhi = x
-    else:
-        xlo, xhi = x.lo, x.hi
-    if xlo <= 0 and xhi <= 0:
-        raise DomainError("x = 0 is handled by the extended map only")
-    tlo, thi = blo * xlo, bhi * xhi
-    flo, fhi = math.floor(tlo), math.floor(thi)
-    if flo != fhi:
-        raise AmbiguousDigit(beta.bits)
-    d = flo + 1
-    nxt = IntervalValue(d - thi, d - tlo)
-    return d, nxt
+    d, lo, hi, den = next(_orbit(beta, x))
+    if beta.is_exact and not isinstance(x, IntervalValue):
+        return d, Fraction(lo, den)
+    return d, IntervalValue(Fraction(lo, den), Fraction(hi, den))
 
 
 def step_extended(beta: BetaValue, x: UnitPoint) -> tuple[Optional[int], UnitPoint]:
     """The extension to [0, 1]: 0 maps to 1 without emitting a digit."""
-    if isinstance(x, int):
-        x = Fraction(x)
-    _check_unit(x, allow_zero=True)
-    zero = (x == 0) if isinstance(x, Fraction) else (x.lo == 0 and x.hi == 0)
-    if zero:
+    if _check_unit(x, allow_zero=True)[1] == 0:
         return None, ONE
     return step(beta, x)
 
@@ -201,31 +210,16 @@ def expand(beta: BetaValue, x: UnitPoint, n: int, max_bits: int = 4096) -> Certi
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    if isinstance(x, int):
-        x = Fraction(x)
-    if beta.is_exact and isinstance(x, Fraction):
-        digits = []
-        cur = x
-        for _ in range(n):
-            d, cur = step(beta, cur)
-            digits.append(d)
-        return CertifiedDigits(tuple(digits), n, ("complete",))
-
     bits = beta.bits
     best: list[int] = []
     while True:
-        b = beta.with_bits(bits)
-        digits = []
-        cur: UnitPoint = x
-        failed_at = None
-        for i in range(n):
-            try:
-                d, cur = step(b, cur)
-            except AmbiguousDigit:
-                failed_at = i
-                break
-            digits.append(d)
-        if failed_at is None:
+        digits: list[int] = []
+        try:
+            for d, _, _, _ in islice(_orbit(beta.with_bits(bits), x), n):
+                digits.append(d)
+        except AmbiguousDigit:
+            failed_at = len(digits)
+        else:
             return CertifiedDigits(tuple(digits), n, ("complete",))
         if digits[: len(best)] != best[: len(digits)]:
             raise AssertionError("certified digits changed under refinement")
@@ -264,9 +258,11 @@ def classify_d1(beta: BetaValue, horizon: int) -> D1Classification:
     if not beta.is_exact:
         got = expand(beta, ONE, horizon)
         return D1Classification("no_cycle", None, None, horizon, got.digits)
-    seen: dict[Fraction, int] = {}
+    # an orbit value is keyed by its reduced (numerator, denominator)
+    seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
-    cur = ONE
+    orbit = _orbit(beta, ONE)
+    cur = (1, 1)
     for t in range(horizon):
         if cur in seen:
             s = seen[cur]
@@ -277,8 +273,10 @@ def classify_d1(beta: BetaValue, horizon: int) -> D1Classification:
             return D1Classification("eventually_periodic", p, s, horizon,
                                     tuple(digits))
         seen[cur] = t
-        d, cur = step(beta, cur)
+        d, num, _, den = next(orbit)
         digits.append(d)
+        g = math.gcd(num, den)
+        cur = (num // g, den // g)
     return D1Classification("no_cycle", None, None, horizon, tuple(digits))
 
 
@@ -317,7 +315,9 @@ def psi_value(beta: BetaValue, seq) -> IntervalValue:
 
     Exact (degenerate interval) for an eventually periodic sequence over an
     exact base, via geometric summation.  A finite word yields the partial
-    sum bracketed by the tail bound  max_digit / (beta^m (beta-1)).
+    sum bracketed by the tail bound  max_digit / (beta^m (beta-1)), where
+    max_digit is the larger of the word's largest digit and floor(beta) + 1,
+    the largest digit a continuation may use.
     """
     blo, bhi = beta.bounds()
     if isinstance(seq, EvPeriodicSeq):
@@ -335,7 +335,7 @@ def psi_value(beta: BetaValue, seq) -> IntervalValue:
     m = len(w)
     if m == 0:
         raise ValueError("empty word")
-    maxd = max(w)
+    maxd = max(*w, math.floor(bhi) + 1)
     if beta.is_exact:
         b = beta.exact
         partial = sum(Fraction(d) * (-1) ** (i + 1) / b**i

@@ -91,6 +91,7 @@ def test_factor_rejects_intrinsically_ergodic_case(tmp_path):
 def test_exit_codes(tmp_path):
     out = tmp_path / "x"
     assert run(["expand", "--beta", "abc", "--out", out]) == 2
+    assert run(["expand", "--beta", "1/0", "--n", "5", "--out", out]) == 2
     # a slice deeper than the certified prefix cannot be built
     assert run(["graph", "--beta", "5/2", "--K", "300", "--horizon", "40",
                 "--out", out]) == 3

@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from negbeta.errors import DomainError
-from negbeta.numeric import (BetaValue, classify_d1, expand, golden_test,
+from negbeta.errors import AmbiguousDigit, DomainError
+from negbeta.numeric import (BetaValue, CertifiedDigits, D1Classification,
+                             IntervalValue, classify_d1, expand, golden_test,
                              leo_witness, psi_value, step, step_extended)
 from negbeta.order import EvPeriodicSeq, word
 
@@ -89,6 +91,7 @@ def test_psi_prefix_brackets_value():
 
 
 @given(st.integers(11, 40), st.integers(1, 200), st.integers(5, 25))
+@example(35, 84, 6)  # the tail uses digit 4, above the word's maximum 2
 @settings(max_examples=60, deadline=None)
 def test_psi_bracket_property(p, num, m):
     # beta = p/10 in (1.1, 4.0], x = num/200 in (0, 1]
@@ -157,3 +160,96 @@ def test_beta_parse():
     assert BetaValue.parse("golden").label == "golden"
     with pytest.raises(DomainError):
         BetaValue.parse("0.5")
+    with pytest.raises(DomainError):
+        BetaValue.parse("1/0")
+
+
+def test_golden_long_orbit():
+    # 512 exact interval steps: the enclosure endpoints grow every step
+    got = expand(BetaValue.golden(), F(1), 512)
+    assert got.complete and got.digits == (2,) + (1,) * 511
+    cls = classify_d1(BetaValue.golden(), 256)
+    assert cls.kind == "no_cycle" and cls.digits == (2,) + (1,) * 255
+
+
+def _reference_orbit(beta, x, n, max_bits=4096):
+    """Fraction interval arithmetic one step at a time, with the precision
+    doubling of expand; returns (CertifiedDigits, last enclosure)."""
+    bits, best = beta.bits, []
+    while True:
+        blo, bhi = beta.with_bits(bits).bounds()
+        xlo, xhi = (x.lo, x.hi) if isinstance(x, IntervalValue) else (F(x), F(x))
+        digits, failed_at = [], None
+        for i in range(n):
+            tlo, thi = blo * xlo, bhi * xhi
+            d = math.floor(tlo) + 1
+            if math.floor(thi) + 1 != d:
+                failed_at = i
+                break
+            digits.append(d)
+            xlo, xhi = d - thi, d - tlo
+        if failed_at is None:
+            return CertifiedDigits(tuple(digits), n, ("complete",)), (xlo, xhi)
+        if len(digits) > len(best):
+            best = digits
+        if bits >= max_bits or beta.refiner is None:
+            got = CertifiedDigits(tuple(best), len(best), ("precision_exhausted", failed_at))
+            return got, None
+        bits *= 2
+
+
+def _reference_classify(beta, horizon):
+    if not beta.is_exact:
+        got = _reference_orbit(beta, F(1), horizon)[0]
+        return D1Classification("no_cycle", None, None, horizon, got.digits)
+    seen, digits, cur = {}, [], F(1)
+    for t in range(horizon):
+        if cur in seen:
+            s, p = seen[cur], t - seen[cur]
+            kind = ("eventually_periodic" if s else
+                    "periodic_odd" if p % 2 else "periodic_even")
+            return D1Classification(kind, p, s, horizon, tuple(digits))
+        seen[cur] = t
+        d = math.floor(beta.exact * cur) + 1
+        digits.append(d)
+        cur = d - beta.exact * cur
+    return D1Classification("no_cycle", None, None, horizon, tuple(digits))
+
+
+def _dyadic_beta(v, bits):
+    def refine(b):
+        lo = F(math.floor(v * (1 << b)), 1 << b)
+        return lo, lo + F(1, 1 << b)
+
+    lo, hi = refine(bits)
+    return BetaValue(lo=lo, hi=hi, bits=bits, refiner=refine)
+
+
+_unit = st.builds(F, st.integers(1, 30), st.integers(1, 30)).filter(lambda f: f <= 1)
+_exact_bases = st.builds(lambda q, k: BetaValue.from_rational(F(q + 1 + k % (3 * q), q)),
+                         st.integers(1, 12), st.integers(0, 35))
+_interval_bases = st.one_of(
+    st.builds(lambda b, bits: _dyadic_beta(b.exact, bits), _exact_bases, st.integers(3, 24)),
+    # degenerate and refiner-less: exact arithmetic never exhausts it, so
+    # any rounding of the enclosures shows as an exhausted expansion
+    st.builds(lambda b, bits: BetaValue(lo=b.exact, hi=b.exact, bits=bits),
+              _exact_bases, st.integers(3, 24)))
+_points = st.one_of(_unit, st.builds(lambda a, b: IntervalValue(min(a, b), max(a, b)),
+                                     _unit, _unit))
+
+
+@given(st.one_of(_exact_bases, _interval_bases), _points, st.integers(1, 60),
+       st.sampled_from([8, 16, 32, 64, 4096]))
+@settings(max_examples=150, deadline=None)
+def test_orbit_kernel_matches_fraction_reference(beta, x, n, max_bits):
+    assert expand(beta, x, n, max_bits=max_bits) == _reference_orbit(beta, x, n, max_bits)[0]
+    assert classify_d1(beta, n) == _reference_classify(beta, n)
+    first, enclosure = _reference_orbit(beta, x, 1, max_bits=beta.bits)
+    if enclosure is None:
+        with pytest.raises(AmbiguousDigit):
+            step(beta, x)
+        return
+    exact = beta.is_exact and not isinstance(x, IntervalValue)
+    d, nxt = step(beta, x)
+    assert d == first.digits[0] and isinstance(nxt, F) == exact
+    assert nxt == (enclosure[0] if exact else IntervalValue(*enclosure))
