@@ -104,7 +104,7 @@ def cmd_graph(args) -> int:
     else:
         path = _emit_json(args, "graph.json", {"graph": slice_.to_json()})
     nmax = min(args.K, args.n or args.K)
-    counts = [graphmod.path_count(slice_, n) for n in range(1, nmax + 1)]
+    counts = graphmod.path_counts(slice_, max(nmax, 0))[1:]
     _emit_json(args, "graph_report.json", {
         "path_counts": counts,
         "gap_scan_N1": graphmod.gap_scan(slice_, 1),

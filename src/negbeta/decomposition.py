@@ -22,7 +22,8 @@ from typing import Optional
 
 from .errors import (GlueFailed, NoLFound, NoSelfLoop, NotInGM,
                      TruncationInsufficient)
-from .graph import GraphSlice, gap_scan, shortest_path_to_v0, walk
+from .graph import (GraphSlice, gap_scan, path_counts, shortest_path_to_v0,
+                    walk)
 from .language import ShiftSpec, _lex_words, is_admissible, periodic_block_ok
 from .order import Word, _primitive_root, word
 
@@ -42,15 +43,7 @@ def c_words(graph: GraphSlice, L: int, n: int) -> list[Word]:
 
 def c_count(graph: GraphSlice, L: int, n: int) -> int:
     _check_c_args(graph, L, n)
-    vec = {L: 1}
-    for _ in range(n - 1):
-        nxt: dict[int, int] = {}
-        for v, c in vec.items():
-            for dst in graph.out[v].values():
-                if dst >= L:
-                    nxt[dst] = nxt.get(dst, 0) + c
-        vec = nxt
-    return sum(vec.values())
+    return path_counts(graph, n - 1, L, L)[n - 1]
 
 
 def _check_c_args(graph: GraphSlice, L: int, n: int) -> None:
@@ -91,8 +84,12 @@ def c_entropy_profile(graph: GraphSlice, Lmax: int, nmax: int,
     tail_start = max(1, (nmax + 1) // 2)
     for L in range(1, Lmax + 1):
         tail_ok = True
-        for n in range(1, nmax + 1):
-            cnt = c_count(graph, L, n)
+        counts: list[int] = []
+        if nmax > 0:
+            # raise at the first failing n, as c_count would
+            _check_c_args(graph, L, min(nmax, graph.K - L + 2))
+            counts = path_counts(graph, nmax - 1, L, L)
+        for n, cnt in enumerate(counts, 1):
             est = math.log(cnt) / n if cnt >= 1 else 0.0
             rows.append({"L": L, "n": n, "count": cnt, "estimate": est})
             if n >= tail_start and est > epsilon:
@@ -123,9 +120,10 @@ class CountMatrix:
             raise ValueError(f"L must be within 1..{graph.K}")
         size = graph.K - L + 2     # W_1 .. W_size  <->  V_{L-1} .. V_K
         adj = [[0] * (size + 1) for _ in range(size + 1)]
-        for src, dst, _label in graph.edges:
-            if src >= L - 1 and dst >= L:
-                adj[src - L + 2][dst - L + 2] = 1
+        for src in range(L - 1, graph.K + 1):
+            for dst in graph.out[src].values():
+                if dst >= L:
+                    adj[src - L + 2][dst - L + 2] = 1
         return CountMatrix(L, size, adj)
 
     def row_sums(self, nmax: int) -> list[list[int]]:

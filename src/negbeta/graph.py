@@ -11,6 +11,9 @@ The edges come from the upper-bound track of the suffix-match automaton in
 
 The slice stores vertices 0..K only.  Operations never extrapolate: walks
 and counts that would leave the slice raise TruncationInsufficient.
+Path counts (`path_counts`, which `path_count` and the excursion counts of
+`negbeta.decomposition` share) run on the slice folded at its verified
+period, so each length costs work in proportion to the fold, not the slice.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .errors import (PrefixTooShort, TruncationInsufficient,
                      TwoSidedUnsupported)
 from .language import (ShiftSpec, _lex_words, _Track, follower_words,
                        is_admissible)
-from .order import (BoundSeq, EvPeriodicSeq, Word, bound_digit, bound_len,
-                    word)
+from .order import (BoundSeq, EvPeriodicSeq, Word, _failure_table,
+                    bound_digit, bound_len, word)
 
 
 def k_of(bprefix: BoundSeq, w) -> int:
@@ -146,19 +149,52 @@ def walk(graph: GraphSlice, w, start: int = 0) -> Optional[list[int]]:
 
 def path_count(graph: GraphSlice, n: int, start: int = 0) -> int:
     """Number of length-n labelled paths from `start` (exact, big integers)."""
-    if n < 0:
-        raise ValueError(n)
-    if start + n > graph.K:
+    return path_counts(graph, n, start)[n]
+
+
+def path_counts(graph: GraphSlice, nmax: int, start: int = 0,
+                floor: int = 0) -> list[int]:
+    """Numbers of length-n paths from V_start for n = 0..nmax, using only
+    edges into vertices >= floor (exact, big integers).
+
+    Row v is the sorted multiset of the edge targets >= floor of V_v, with
+    the spine edge written as the marker -1 so that rows can repeat.  When
+    the rows of V_j0 .. V_{start+nmax-1} (every vertex a counted path can
+    leave) have period p, counting on the vertices below j0 + p with the
+    spine out of V_{j0+p-1} bent back to V_j0 gives the same numbers.  j0 + p
+    is the least such size; an aperiodic slice keeps all start + nmax rows.
+    """
+    if nmax < 0:
+        raise ValueError(nmax)
+    if start < 0:
+        raise ValueError(start)
+    if start + nmax > graph.K:
         raise TruncationInsufficient(
-            f"length-{n} paths from V_{start} can leave the K={graph.K} slice")
-    vec = {start: 1}
-    for _ in range(n):
+            f"length-{nmax} paths from V_{start} can leave the K={graph.K} slice")
+    if nmax == 0:
+        return [1]
+    m = start + nmax
+    rows = [tuple(sorted(-1 if t == v + 1 else t
+                         for t in graph.out[v].values() if t >= floor))
+            for v in range(m)]
+    # A reversed prefix of length ell with border f is the suffix of the rows
+    # from j0 = m - ell with period ell - f: the folded size is m - f.
+    fail = _failure_table(rows[::-1])
+    f = max(fail)
+    ell = fail.index(f)
+    size, j0 = m - f, m - ell
+    adj = [[(v + 1 if v + 1 < size else j0) if t < 0 else t for t in row]
+           for v, row in enumerate(rows[:size])]
+    vec = {start if start < size else j0 + (start - j0) % (ell - f): 1}
+    counts = [1]
+    for _ in range(nmax):
         nxt: dict[int, int] = {}
         for v, c in vec.items():
-            for dst in graph.out[v].values():
+            for dst in adj[v]:
                 nxt[dst] = nxt.get(dst, 0) + c
         vec = nxt
-    return sum(vec.values())
+        counts.append(sum(vec.values()))
+    return counts
 
 
 def path_words(graph: GraphSlice, n: int, start: int = 0) -> Iterator[Word]:
@@ -197,9 +233,10 @@ def shortest_path_to_v0(graph: GraphSlice, i: int) -> tuple[int, Word]:
 
 def _dist_to_v0(graph: GraphSlice) -> list[Optional[int]]:
     radj: list[list[int]] = [[] for _ in range(graph.K + 1)]
-    for src, dst, _label in graph.edges:
-        if src != dst or dst == 0:
-            radj[dst].append(src)
+    for src, table in enumerate(graph.out):
+        for dst in table.values():
+            if src != dst or dst == 0:
+                radj[dst].append(src)
     dist: list[Optional[int]] = [None] * (graph.K + 1)
     dist[0] = 0
     frontier = [0]
@@ -223,7 +260,8 @@ def gap_scan(graph: GraphSlice, N: int) -> Optional[int]:
     """
     if N < 1:
         raise ValueError("N >= 1 required")
-    violators = [src for src, dst, _ in graph.edges if 0 <= src - dst <= N]
+    violators = [src for src, table in enumerate(graph.out)
+                 for dst in table.values() if 0 <= src - dst <= N]
     if not violators:
         return 0
     L = max(violators) + 1

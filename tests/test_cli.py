@@ -35,6 +35,17 @@ def test_graph_outputs(tmp_path):
     assert js["graph"]["K"] == 6
 
 
+def test_graph_counts_every_length_by_default(tmp_path):
+    out = tmp_path / "g400"
+    assert run(["graph", "--beta", "golden", "--K", "400", "--out", out]) == 0
+    report = json.loads((out / "graph_report.json").read_text())
+    fib = [0, 1]
+    while len(fib) < 404:
+        fib.append(fib[-1] + fib[-2])
+    # golden words of length n number F(n+3) - 1
+    assert report["path_counts"] == [fib[n + 3] - 1 for n in range(1, 401)]
+
+
 def test_graph_from_bound_file(tmp_path):
     bfile = tmp_path / "b.txt"
     bfile.write_text("| 3 2 3 2 1 3 3\n")

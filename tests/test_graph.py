@@ -1,17 +1,22 @@
 import random
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from negbeta import oracle
+from negbeta.decomposition import c_count
 from negbeta.errors import (PrefixTooShort, TruncationInsufficient,
                             TwoSidedUnsupported)
 from negbeta.graph import (build_graph, build_graph_for_spec,
                            follower_equiv_check, gap_scan, k_of,
-                           parse_bound_file, path_count, path_words,
-                           shortest_path_to_v0, walk)
-from negbeta.language import ShiftSpec, enumerate_words, iter_words
+                           parse_bound_file, path_count, path_counts,
+                           path_words, shortest_path_to_v0, walk)
+from negbeta.language import (ShiftSpec, count_words, enumerate_words,
+                              iter_words)
 from negbeta.numeric import BetaValue
-from negbeta.order import EvPeriodicSeq, word
+from negbeta.order import EvPeriodicSeq, is_alt_shift_maximal, word
 
 GOLDEN = ShiftSpec.golden()
 FIG = ShiftSpec.make(EvPeriodicSeq.make((), word("3232133")))
@@ -120,6 +125,78 @@ def test_path_count():
         [len(enumerate_words(GOLDEN, n)) for n in range(1, 11)]
     with pytest.raises(TruncationInsufficient):
         path_count(GS, 21)
+
+
+def test_path_counts_guards():
+    assert path_counts(GS, 0, 20) == [1]
+    assert path_counts(GS, 5) == [1, 2, 4, 7, 12, 20]
+    with pytest.raises(ValueError):
+        path_counts(GS, -1)
+    with pytest.raises(ValueError):
+        path_count(GS, 1, -1)
+    with pytest.raises(TruncationInsufficient,
+                       match="length-3 paths from V_18 can leave the K=20 slice"):
+        path_count(GS, 3, 18)
+
+
+def _dict_dp_counts(graph, nmax, start, floor):
+    # the unfolded sparse DP over the whole slice
+    vec, counts = {start: 1}, [1]
+    for _ in range(nmax):
+        nxt = {}
+        for v, c in vec.items():
+            for dst in graph.out[v].values():
+                if dst >= floor:
+                    nxt[dst] = nxt.get(dst, 0) + c
+        vec = nxt
+        counts.append(sum(vec.values()))
+    return counts
+
+
+@st.composite
+def _periodic_bounds(draw):
+    alphabet = draw(st.integers(2, 4))
+    digits = st.integers(1, alphabet)
+    upper = EvPeriodicSeq.make(draw(st.lists(digits, max_size=4)),
+                               draw(st.lists(digits, min_size=1, max_size=8)))
+    assume(is_alt_shift_maximal(upper).status == "yes")
+    return upper
+
+
+@st.composite
+def _slices(draw):
+    # eventually periodic bounds, and rational-base prefixes (aperiodic)
+    K = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        return build_graph(draw(_periodic_bounds()), K)
+    q = draw(st.integers(2, 40))
+    p = draw(st.integers(q + 1, 4 * q).filter(lambda p: p % q))
+    spec = ShiftSpec.from_beta(BetaValue.from_rational(F(p, q)), prefix_len=K + 2)
+    assume(spec.prefix_mode and len(spec.upper) >= K + 2)
+    return build_graph_for_spec(spec, K)
+
+
+@given(_slices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_folded_counts_match_dict_dp(graph, data):
+    K = graph.K
+    start = data.draw(st.integers(0, K))
+    n = data.draw(st.integers(0, K - start))
+    floor = data.draw(st.integers(0, start + 1))
+    assert path_counts(graph, n, start, floor) == _dict_dp_counts(graph, n, start, floor)
+    m = data.draw(st.integers(0, n))
+    assert path_count(graph, m, start) == _dict_dp_counts(graph, m, start, 0)[m]
+    L = data.draw(st.integers(1, K))
+    n = data.draw(st.integers(1, K - L + 1))
+    ref = _dict_dp_counts(graph, n - 1, L, L)
+    assert [c_count(graph, L, j) for j in range(1, n + 1)] == ref
+
+
+@given(_periodic_bounds(), st.integers(280, 320))
+@settings(max_examples=10, deadline=None)
+def test_folded_path_count_matches_count_words(upper, n):
+    table = count_words(ShiftSpec.make(upper), n)
+    assert path_count(build_graph(upper, n), n) == table.rows[-1]["count_words"]
 
 
 def test_shortest_paths():

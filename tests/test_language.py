@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from negbeta import oracle
 from negbeta.errors import HorizonExhausted, NotOddPeriodic, SpecPrefixTooShort
-from negbeta.graph import build_graph_for_spec, k_of, path_count
+from negbeta.graph import build_graph_for_spec, k_of, path_count, path_words
 from negbeta.language import (CountTable, ShiftSpec, count_words,
                               derived_lower_bound, entropy_profile,
                               enumerate_words, eventually_periodic_completion,
@@ -273,6 +273,7 @@ def test_fast_paths_match_oracle_on_generated_bounds(spec, data):
         assert counts[n - 1] == len(admissible[n])
         if graph is not None:
             assert path_count(graph, n) == counts[n - 1]
+            assert set(path_words(graph, n)) == oracle.naive_path_words(graph, n)
         try:
             per[n] = oracle.naive_per(spec, n)
         except RuntimeError as exc:
