@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 from .errors import (GlueFailed, NoLFound, NoSelfLoop, NotInGM,
                      TruncationInsufficient)
-from .graph import (GraphSlice, gap_scan, path_counts, shortest_path_to_v0,
-                    walk)
-from .language import ShiftSpec, _lex_words, is_admissible, periodic_block_ok
+from .graph import (GraphSlice, _dist_to_v0, gap_scan, path_counts,
+                    shortest_path_to_v0, walk)
+from .language import NO, ShiftSpec, _Automaton, _lex_words, periodic_block_ok
 from .order import Word, _primitive_root, word
 
 
@@ -229,11 +229,11 @@ def t_gap(graph: GraphSlice, M: int, L: int) -> int:
         raise ValueError("M >= 0 and L >= 1 required")
     if M + L - 1 > graph.K:
         raise TruncationInsufficient("M + L - 1 exceeds the slice")
-    best = 0
-    for i in range(M + L):
-        dist, _ = shortest_path_to_v0(graph, i)
-        best = max(best, dist)
-    return best
+    dist = _dist_to_v0(graph)[: M + L]
+    if None in dist:
+        raise TruncationInsufficient(
+            f"no path from V_{dist.index(None)} to V_0 inside the K={graph.K} slice")
+    return max(dist)
 
 
 @dataclass
@@ -316,7 +316,7 @@ def glue(graph: GraphSlice, spec: ShiftSpec, L: int, M: int, words_in,
     gaps = [t] if t is not None else list(range(t_cap + 1))
     budget = [search_limit]
     for gap in gaps:
-        got = _search_connectors(graph, spec, words, gap, budget)
+        got = _search_connectors(spec, words, gap, budget)
         if got is not None:
             connectors = got
             x, block = _assemble(words, connectors)
@@ -325,37 +325,33 @@ def glue(graph: GraphSlice, spec: ShiftSpec, L: int, M: int, words_in,
     raise GlueFailed(f"no admissible glue found with gap <= {gaps[-1]}")
 
 
-def _search_connectors(graph: GraphSlice, spec: ShiftSpec, words: list[Word],
-                       gap: int, budget: list[int]) -> Optional[list[Word]]:
-    m = len(words)
-    digits = range(1, spec.alphabet + 1)
-    candidates = [()] if gap == 0 else list(product(digits, repeat=gap))
-
-    def viable(i: int, v: Word) -> bool:
-        nxt = words[(i + 1) % m]
-        return is_admissible(spec, words[i] + v + nxt) != "no"
-
+def _search_connectors(spec: ShiftSpec, words: list[Word], gap: int,
+                       budget: list[int]) -> Optional[list[Word]]:
+    """The first connectors, slot by slot in lexicographic order, whose
+    glued block verifies; each verification spends one unit of budget.
+    Slot i offers the length-gap followers v of words[i] in order, kept
+    when words[i] v words[i+1] reads without a broken bound."""
+    aut = _Automaton(spec)
     pruned = []
-    for i in range(m):
-        slot = [v for v in candidates if viable(i, v)]
+    for i, w in enumerate(words):
+        verdict, state = aut.read(aut.start, w)
+        ends = {} if verdict == NO else {state: [()]}  # state -> followers
+        for _ in range(gap):
+            grown: dict = {}
+            for s, vs in ends.items():
+                for a, t in aut.followers(s):
+                    grown.setdefault(t, []).extend(v + (a,) for v in vs)
+            ends = grown
+        nxt = words[(i + 1) % len(words)]
+        slot = sorted(v for s, vs in ends.items() if aut.read(s, nxt)[0] != NO
+                      for v in vs)
         if not slot:
             return None
         pruned.append(slot)
-
-    chosen: list[Word] = []
-
-    def rec(i: int) -> bool:
+    for chosen in itertools.product(*pruned):
         if budget[0] <= 0:
-            return False
-        if i == m:
-            budget[0] -= 1
-            _x, block = _assemble(words, chosen)
-            return periodic_block_ok(spec, block)
-        for v in pruned[i]:
-            chosen.append(v)
-            if rec(i + 1):
-                return True
-            chosen.pop()
-        return False
-
-    return list(chosen) if rec(0) else None
+            return None
+        budget[0] -= 1
+        if periodic_block_ok(spec, _assemble(words, chosen)[1]):
+            return list(chosen)
+    return None

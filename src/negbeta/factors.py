@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import (EnumerationCapExceeded, NotOddPeriodic, OddOneRun,
                      PatternMismatch, TooShort)
-from .language import (NO, UNDETERMINED, YES, ShiftSpec, count_words,
+from .language import (NO, YES, ShiftSpec, _Automaton, count_words,
                        is_admissible, iter_words)
 from .numeric import golden_test
 from .order import EvPeriodicSeq, Word, word
@@ -114,10 +114,6 @@ def build_case2_code(spec: ShiftSpec) -> SlidingBlockCode:
     blocks = frozenset(tuple(up.digit(i + j) for j in range(3 * n))
                        for i in range(1, n + 1))
     return SlidingBlockCode(window=3 * n, kind="bound_blocks", detect=blocks)
-
-
-def apply_code(code: SlidingBlockCode, w) -> Word:
-    return code.apply(w)
 
 
 @dataclass
@@ -236,37 +232,25 @@ def check_ones_tail_forbidden(code: SlidingBlockCode, spec: ShiftSpec,
 def check_singleton_cylinder(code: SlidingBlockCode, spec: ShiftSpec,
                              depth: int) -> ClaimResult:
     """Every admissible extension of a detector block follows the periodic
-    continuation of the bound sequence, digit for digit.
-
-    Any undetermined membership aborts the claim as inconclusive instead of
-    counting as a pass.
-    """
+    continuation of the bound sequence, digit for digit: one walk through
+    the automaton per block, which fails at the first accepted digit that
+    leaves the continuation."""
     up = spec.upper
     n = code.window // 3
-    saw_undetermined = False
+    aut = _Automaton(spec)
     for i in range(1, n + 1):
         base = tuple(up.digit(i + j) for j in range(code.window))
         expected = tuple(up.digit(i + j) for j in range(depth))
-        stack = [base]
-        while stack:
-            w = stack.pop()
-            if len(w) >= depth:
-                continue
-            for a in range(1, spec.alphabet + 1):
-                cand = w + (a,)
-                status = is_admissible(spec, cand)
-                if status == NO:
-                    continue
-                if status == UNDETERMINED:
-                    saw_undetermined = True
-                if cand != expected[: len(cand)]:
-                    return ClaimResult("singleton_cylinder", "fail",
-                                       f"unexpected extension of {_fmt(base)}",
-                                       _fmt(cand))
-                stack.append(cand)
-    if saw_undetermined:
-        return ClaimResult("singleton_cylinder", "inconclusive",
-                           "bound prefix too short to decide all extensions")
+        state = aut.read(aut.start, base)[1]  # None: nothing extends
+        for pos in range(code.window, depth):
+            if state is None:
+                break
+            stray = [a for a, _t in aut.successors(state) if a != expected[pos]]
+            if stray:
+                return ClaimResult("singleton_cylinder", "fail",
+                                   f"unexpected extension of {_fmt(base)}",
+                                   _fmt(expected[:pos] + (stray[0],)))
+            state = aut.step(state, expected[pos])
     return ClaimResult("singleton_cylinder", "pass",
                        f"detector blocks extend uniquely up to length {depth}")
 

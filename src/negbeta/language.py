@@ -7,12 +7,14 @@ is admissible when every suffix stays within the bounds compared against
 the corresponding bound prefix; ties at the end of a finite comparison are
 within bounds.
 
-Enumeration, counting, follower sets, mixing searches, periodic blocks and
-eventually periodic points all run on one suffix-match automaton whose
-state is the pair of longest suffix ties with the upper and lower bound
-prefixes; a periodic point is read through it until the state at a block
-boundary repeats.  The graph layer reuses its upper-bound track: its
-vertex V_k is the upper match length k.
+Membership, enumeration, counting, follower sets, mixing searches,
+periodic blocks and eventually periodic points all run on one suffix-match
+automaton whose state is the pair of longest suffix ties with the upper and
+lower bound prefixes.  Its reader (`_Automaton.read`) decides a word from
+any state as "yes", "no" or, when a suffix ties the whole of a finite
+upper prefix and runs past it, "undetermined"; a periodic point is read
+through it until the state at a block boundary repeats.  The graph layer
+reuses its upper-bound track: its vertex V_k is the upper match length k.
 """
 
 from __future__ import annotations
@@ -113,51 +115,6 @@ class ShiftSpec:
         return f"{side} shift over 1..{self.alphabet}, upper {self.upper}"
 
 
-def _suffix_vs_upper(spec: ShiftSpec, s: Word) -> Optional[bool]:
-    """True if the suffix certainly exceeds the upper bound, False if it
-    certainly stays within, None if the known prefix cannot decide."""
-    for i, a in enumerate(s, start=1):
-        d = spec.upper_digit(i)
-        if d is None:
-            return None
-        if a != d:
-            return _alt_sign(i, a, d) > 0
-    return False
-
-
-def _suffix_vs_lower(lower: EvPeriodicSeq, s: Word) -> bool:
-    """True if the suffix falls strictly below the lower bound."""
-    for i, a in enumerate(s, start=1):
-        d = lower.digit(i)
-        if a != d:
-            return _alt_sign(i, a, d) < 0
-    return False
-
-
-def is_admissible(spec: ShiftSpec, w) -> str:
-    """Membership test: "yes", "no" or (prefix specs only) "undetermined".
-
-    One-sided: exact whenever the upper bound is known to length |w|.
-    Two-sided: a definite violation of either bound is "no"; otherwise
-    "yes" under the conservative finite-word semantics (violation-freeness;
-    validated against completion searches in the tests).
-    """
-    w = word(w)
-    if any(d > spec.alphabet for d in w):
-        return NO
-    undecided = False
-    for i in range(len(w)):
-        s = w[i:]
-        over = _suffix_vs_upper(spec, s)
-        if over is True:
-            return NO
-        if over is None:
-            undecided = True
-        if spec.two_sided and _suffix_vs_lower(spec.lower, s):
-            return NO
-    return UNDETERMINED if undecided else YES
-
-
 class _Track:
     """Suffix matching against one bound sequence (a KMP automaton).
 
@@ -168,27 +125,38 @@ class _Track:
     sign that breaks the bound: +1 for an upper bound, -1 for a lower
     bound, 0 for plain matching.  An upper bound must dominate its shifts
     (as every spec's upper bound does): then a digit that extends some tie
-    breaks none of the shorter ones.  Results are memoised per instance.
+    breaks none of the shorter ones.  The digits of a periodic bound and
+    the failure table reach only as far as the ties do, growing on
+    demand; results are memoised per instance.
     """
 
     def __init__(self, bound: BoundSeq, sense: int):
         self.bound = bound
         self.sense = sense
         self.finite = not isinstance(bound, EvPeriodicSeq)
-        self.digits = list(bound if self.finite else bound.prefix(
-            len(bound.preperiod) + len(bound.period) + 1))
-        self.fail = _failure_table(self.digits)
+        self.known = len(bound) if self.finite else math.inf
+        self.digits = list(bound) if self.finite else []
+        self.fail = [0]
         self.memo: dict[int, dict[int, Optional[int]]] = {}  # a -> k -> answer
+
+    def border(self, k: int) -> int:
+        """fail[k], the longest proper border of the tie b_1 .. b_k."""
+        if k >= len(self.fail):
+            # a fourfold step rebuilds less than doubling would when ties
+            # climb one digit at a time (graph slices), and stays short for
+            # the few-digit ties of a membership test
+            self.fail = _failure_table(self.digits[: 4 * k + 4])
+        return self.fail[k]
 
     def advance(self, k: int, a: int) -> Optional[int]:
         """The match length after appending digit a, or None when a breaks
         the bound at a live tie."""
         digits = self.digits
-        if k == len(digits):
+        if k >= len(digits):
             if self.finite:
                 raise SpecPrefixTooShort(f"upper bound needed at index {k + 1}")
-            digits = self.digits = list(self.bound.prefix(2 * k))
-            self.fail = _failure_table(digits)
+            pre, per = self.bound.preperiod, self.bound.period
+            digits = self.digits = list(pre + per * (2 * k // len(per) + 2))
         sense = self.sense
         # Walk down the chain to a tie that decides; every tie passed on the
         # way (no violation, and no match for upper bounds) shares its answer.
@@ -204,7 +172,7 @@ class _Track:
             else:
                 memo = self.memo.setdefault(a, {})
                 chain.append(k)
-                k = self.fail[k]
+                k = self.fail[k] if k < len(self.fail) else self.border(k)
                 got = memo.get(k, memo)
                 if got is memo:
                     continue
@@ -220,9 +188,9 @@ class _Automaton:
     """The suffix-match automaton of a shift.
 
     A state is the pair (upper match length, lower match length); the
-    lower one stays 0 for one-sided shifts.  The transitions out of a
-    state are built for the whole alphabet at its first visit and
-    memoised per instance.
+    lower one stays 0 for one-sided shifts.  `_next` steps both tracks by
+    one digit; the transitions out of a state are built from it for the
+    whole alphabet at the state's first visit and memoised per instance.
     """
 
     start = (0, 0)
@@ -233,20 +201,21 @@ class _Automaton:
         self.lower = _Track(spec.lower, -1) if spec.two_sided else None
         self._moves: dict = {}  # state -> {accepted digit: next state}
 
+    def _next(self, state: tuple[int, int], a: int) -> Optional[tuple[int, int]]:
+        u = self.upper.advance(state[0], a)
+        if u is None:
+            return None
+        lo = 0 if self.lower is None else self.lower.advance(state[1], a)
+        return None if lo is None else (u, lo)
+
     def _out(self, state: tuple[int, int]) -> dict:
         got = self._moves.get(state)
         if got is None:
             got = {}
             for a in range(1, self.alphabet + 1):
-                u = self.upper.advance(state[0], a)
-                if u is None:
-                    continue
-                if self.lower is None:
-                    got[a] = u, 0
-                else:
-                    lo = self.lower.advance(state[1], a)
-                    if lo is not None:
-                        got[a] = u, lo
+                t = self._next(state, a)
+                if t is not None:
+                    got[a] = t
             self._moves[state] = got
         return got
 
@@ -268,6 +237,47 @@ class _Automaton:
             if state is None:
                 raise ValueError(f"{w} is not admissible")
         return state
+
+    def _drop(self, state: tuple[int, int]) -> tuple[int, int]:
+        # A tie with the whole of a finite upper prefix is undecided for
+        # good; its longest border carries the shorter live ties.
+        if state[0] == self.upper.known:
+            return self.upper.border(state[0]), state[1]
+        return state
+
+    def read(self, state: tuple[int, int], w: Word) -> tuple[str, Optional[tuple[int, int]]]:
+        """Read w from `state` digit by digit through the tracks: ("no",
+        None) at the first broken bound, otherwise the verdict and the end
+        state.  The verdict is "undetermined" when a tie with the whole
+        upper prefix met a further digit (it is dropped to its longest
+        border and reading goes on), "yes" otherwise."""
+        verdict = YES
+        for a in w:
+            if state[0] == self.upper.known:
+                verdict, state = UNDETERMINED, self._drop(state)
+            state = self._next(state, a)
+            if state is None:
+                return NO, None
+        return verdict, state
+
+    def followers(self, state: tuple[int, int]):
+        """(digit, next state) for every digit that `read` accepts after
+        reaching `state`, in increasing digit order."""
+        return self.successors(self._drop(state))
+
+
+def is_admissible(spec: ShiftSpec, w) -> str:
+    """Membership test: "yes", "no" or (prefix specs only) "undetermined".
+
+    The word is read from the start state of the suffix-match automaton.
+    "no" means some suffix breaks a bound; "undetermined" means none does
+    but some suffix ties the whole known upper prefix and runs past it.
+    Two-sided specs use the conservative finite-word semantics
+    (violation-freeness; validated against completion searches in the
+    tests).
+    """
+    aut = _Automaton(spec)
+    return aut.read(aut.start, word(w))[0]
 
 
 def _lex_words(start, n: int, children, head: Word = ()) -> Iterator[Word]:
@@ -364,7 +374,7 @@ def _point_ok(aut: _Automaton, head: Word, block: Word) -> bool:
     n = len(block)
     horizon = len(head) + n - 1 + max(
         # a finite prefix needs one digit past its end to show a whole tie
-        len(t.digits) + 1 if t.finite
+        t.known + 1 if t.finite
         else len(t.bound.preperiod) + math.lcm(n, len(t.bound.period))
         for t in (aut.upper, aut.lower) if t is not None)
     step, state, read = aut.step, aut.start, 0
@@ -388,7 +398,7 @@ def _point_ok(aut: _Automaton, head: Word, block: Word) -> bool:
             seen.add(state)
     except SpecPrefixTooShort:
         # the shift that ties the whole prefix began len(prefix) digits ago
-        known = len(aut.upper.digits)
+        known = aut.upper.known
         tie = EvPeriodicSeq.make(head, block).shift(read - known)
         raise HorizonExhausted(
             f"{tie} ties the {known}-digit upper prefix; extend the prefix") from None
@@ -486,6 +496,8 @@ def eventually_periodic_completion(spec: ShiftSpec, w, max_extra: int = 6,
                                    max_period: int = 3) -> Optional[EvPeriodicSeq]:
     """Certify that w occurs in the shift by completing it to an eventually
     periodic point: w, a short bridge, then a repeated admissible block.
+    Bridges are the followers of w that the automaton does not refuse,
+    shortest first, in lexicographic order.
 
     Sound but not complete: a certificate proves membership, absence proves
     nothing.
@@ -494,23 +506,14 @@ def eventually_periodic_completion(spec: ShiftSpec, w, max_extra: int = 6,
     periods: list[Word] = []
     for k in range(1, max_period + 1):
         periods.extend(per_points(spec, k))
+    aut = _Automaton(spec)
+    verdict, state = aut.read(aut.start, w)
+    if verdict == NO:
+        return None
     for extra in range(max_extra + 1):
-        for u in _extensions(spec, w, extra):
+        for u in _lex_words(state, extra, aut.followers, w):
             for p in periods:
                 cand = EvPeriodicSeq.make(u, p)
-                if cand.prefix(len(w)) != w:
-                    continue
-                if seq_within_bounds(spec, cand):
+                if _point_ok(aut, cand.preperiod, cand.period):
                     return cand
     return None
-
-
-def _extensions(spec: ShiftSpec, w: Word, extra: int) -> Iterator[Word]:
-    if extra == 0:
-        if is_admissible(spec, w) != NO:
-            yield w
-        return
-    for tail in iter_words(spec, extra):
-        cand = w + tail
-        if is_admissible(spec, cand) != NO:
-            yield cand

@@ -1,7 +1,10 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from negbeta import oracle
 from negbeta.decomposition import (CountMatrix, bound_check, c_count,
                                    c_entropy_profile, c_words, glue,
                                    require_profile_cutoff, split, t_gap)
@@ -11,7 +14,8 @@ from negbeta.graph import build_graph_for_spec, walk
 from negbeta.language import (ShiftSpec, is_admissible, iter_words,
                               periodic_block_ok)
 from negbeta.numeric import BetaValue
-from negbeta.order import EvPeriodicSeq, alt_cmp_seq, word
+from negbeta.order import (EvPeriodicSeq, alt_cmp_seq, is_alt_shift_maximal,
+                           word)
 
 GOLDEN = ShiftSpec.golden()
 GS = build_graph_for_spec(GOLDEN, 24)
@@ -191,6 +195,55 @@ def test_glue_explicit_gap():
     with pytest.raises(GlueFailed):
         # without connectors the wrap-around run of ones has odd length
         glue(GS, GOLDEN, 2, 4, ["2", "21"], t=0)
+
+
+def _reference_connectors(spec, words, gap, limits):
+    # the first connector search: all alphabet^gap candidates filtered per
+    # slot by the oracle, then slot-by-slot recursion under the budget
+    m = len(words)
+    cands = list(itertools.product(range(1, spec.alphabet + 1), repeat=gap))
+    slots = [[v for v in cands if oracle.naive_admissible(
+        spec, words[i] + v + words[(i + 1) % m]) != "no"] for i in range(m)]
+    for limit in limits:
+        budget, chosen = [limit], []
+
+        def rec(i):
+            if budget[0] <= 0:
+                return False
+            if i == m:
+                budget[0] -= 1
+                return periodic_block_ok(spec, sum(map(tuple.__add__, words, chosen), ()))
+            for v in slots[i]:
+                chosen.append(v)
+                if rec(i + 1):
+                    return True
+                chosen.pop()
+            return False
+
+        yield list(chosen) if all(slots) and rec(0) else None
+
+
+def test_glue_search_matches_reference():
+    rng = random.Random(8)
+    specs = [GOLDEN, FIG]
+    while len(specs) < 5:
+        upper = EvPeriodicSeq.make([rng.randint(1, 3) for _ in range(rng.randint(0, 2))],
+                                   [rng.randint(1, 3) for _ in range(rng.randint(1, 4))])
+        if upper.max_digit > 1 and is_alt_shift_maximal(upper).status == "yes":
+            specs.append(ShiftSpec.make(upper))
+    limits = (1, 3, 200000)
+    for spec in specs:
+        gs = build_graph_for_spec(spec, 24)
+        good = [w for n in (1, 2, 3) for w in iter_words(spec, n) if walk(gs, w)[-1] <= 5]
+        for _ in range(4):
+            words = [rng.choice(good) for _ in range(rng.randint(1, 3))]
+            for gap in range(6):
+                for limit, want in zip(limits, _reference_connectors(spec, words, gap, limits)):
+                    try:
+                        got = glue(gs, spec, 2, 4, words, t=gap, search_limit=limit).connectors
+                    except GlueFailed:
+                        got = None
+                    assert got == want, (spec.upper, words, gap, limit)
 
 
 def test_profile_estimates_nonincreasing_in_cutoff_observed():

@@ -5,7 +5,7 @@ import pytest
 
 from negbeta.errors import (NotOddPeriodic, OddOneRun, PatternMismatch,
                             TooShort)
-from negbeta.factors import (SlidingBlockCode, apply_code, build_case1_code,
+from negbeta.factors import (SlidingBlockCode, build_case1_code,
                              build_case2_code, check_ones_tail_forbidden,
                              check_shifted_block_mismatch,
                              check_singleton_cylinder, in_x_language,
@@ -51,12 +51,12 @@ def test_build_case2():
 
 def test_apply_code():
     code2 = build_case2_code(B2)
-    assert apply_code(code2, word("3333")) == word("22")
+    assert code2.apply(word("3333")) == word("22")
     code1 = build_case1_code(B13)
-    assert apply_code(code1, word("111")) == word("1")
-    assert apply_code(code1, word("2112")) == word("22")
+    assert code1.apply(word("111")) == word("1")
+    assert code1.apply(word("2112")) == word("22")
     with pytest.raises(TooShort):
-        apply_code(code1, word("21"))
+        code1.apply(word("21"))
 
 
 def test_verify_case1():
@@ -98,6 +98,15 @@ def test_singleton_cylinder_depth15():
     assert words == [word("3") * 10]
 
 
+def test_singleton_cylinder_counterexample():
+    # under (21)^inf the block 212 extends by 2 as well as by its own 1
+    spec = ShiftSpec.make(EvPeriodicSeq.make((), word("21")))
+    code = SlidingBlockCode(window=3, kind="bound_blocks", detect=frozenset())
+    claim = check_singleton_cylinder(code, spec, 5)
+    assert (claim.status, claim.detail, claim.counterexample) == (
+        "fail", "unexpected extension of 212", "2122")
+
+
 def test_shifted_block_mismatch():
     code = build_case2_code(B2)
     assert check_shifted_block_mismatch(code, B2).status == "pass"
@@ -112,7 +121,7 @@ def test_shifted_block_mismatch():
 def test_image_is_staircase_language():
     code = build_case2_code(B2)
     depth = 10
-    image = {apply_code(code, w) for w in iter_words(B2, depth)}
+    image = {code.apply(w) for w in iter_words(B2, depth)}
     assert image == set(x_language(depth - code.window + 1))
 
 
@@ -123,13 +132,13 @@ def test_equivariance_identity_on_staircase_code():
     code = SlidingBlockCode(window=1, kind="bound_blocks",
                             detect=frozenset({word("2")}))
     for w in x_language(6):
-        assert apply_code(code, w) == w
-        assert apply_code(code, w[1:]) == apply_code(code, w)[1:]
+        assert code.apply(w) == w
+        assert code.apply(w[1:]) == code.apply(w)[1:]
 
 
 def test_monotone_image_shapes():
     code = build_case1_code(B13)
     for w in iter_words(B13, 9):
-        img = apply_code(code, w)
+        img = code.apply(w)
         assert in_x_language(img)
         assert not any(a == 2 and b == 1 for a, b in zip(img, img[1:]))

@@ -103,6 +103,26 @@ def test_prefix_spec_undetermined():
         enumerate_words(spec13, 7)
 
 
+def test_prefix_spec_verdicts_match_oracle():
+    # every word up to three digits past a short known prefix (digits above
+    # the alphabet on short words): a tie with the whole prefix leaves the
+    # word undetermined, unless a later suffix breaks the bound
+    seen = set()
+    for b in (F(4, 3), F(8, 5), F(5, 2), F(7, 3), F(11, 4), F(10, 3)):
+        for prefix_len in range(3, 7):
+            spec = ShiftSpec.from_beta(BetaValue.from_rational(b), prefix_len=prefix_len)
+            top = spec.alphabet
+            if top ** (prefix_len + 3) > 3 ** 8:
+                continue
+            for n in range(prefix_len + 4):
+                digits = range(1, top + 1 + (n <= 3))
+                for w in itertools.product(digits, repeat=n):
+                    got = is_admissible(spec, w)
+                    assert got == oracle.naive_admissible(spec, w), (spec.upper, w)
+                    seen.add(got)
+    assert seen == {"yes", "no", "undetermined"}
+
+
 def test_per_points_examples():
     assert per_points(GOLDEN, 1) == [word("1"), word("2")]
     assert per_points(GOLDEN, 2) == [word("11"), word("22")]
@@ -269,6 +289,7 @@ def test_fast_paths_match_oracle_on_generated_bounds(spec, data):
         verdicts = [oracle.naive_admissible(spec, w) for w in words]
         admissible[n] = [w for w, v in zip(words, verdicts) if v == "yes"]
         rejected[n] = [w for w, v in zip(words, verdicts) if v == "no"]
+        assert [is_admissible(spec, w) for w in words] == verdicts
         assert list(iter_words(spec, n)) == admissible[n]
         assert counts[n - 1] == len(admissible[n])
         if graph is not None:
