@@ -99,12 +99,20 @@ def build_case1_code(spec: ShiftSpec, horizon: int = 64) -> SlidingBlockCode:
     return SlidingBlockCode(window=k + 1, kind="ones_window")
 
 
+def _bound_seq(spec: ShiftSpec) -> EvPeriodicSeq:
+    """The upper bound sequence that bound-blocks windows are read from; a
+    finite prefix of the expansion of 1 is none."""
+    up = spec.upper
+    if not isinstance(up, EvPeriodicSeq):
+        raise NotOddPeriodic(f"upper bound {up} is not purely odd-periodic")
+    return up
+
+
 def build_case2_code(spec: ShiftSpec) -> SlidingBlockCode:
     """Window map for a purely periodic expansion of odd period n: windows
     of length 3n map to 2 exactly on the n cyclic blocks of the bound."""
-    up = spec.upper
-    if not (isinstance(up, EvPeriodicSeq) and not up.preperiod
-            and len(up.period) % 2 == 1):
+    up = _bound_seq(spec)
+    if up.preperiod or len(up.period) % 2 == 0:
         raise NotOddPeriodic(f"upper bound {up} is not purely odd-periodic")
     if not spec.two_sided:
         raise NotOddPeriodic("odd-period shifts carry a lower bound")
@@ -158,6 +166,8 @@ def verify_factor(code: SlidingBlockCode, spec: ShiftSpec, depth: int) -> Factor
     language."""
     if depth < code.window:
         raise TooShort("depth must reach the window length")
+    if code.kind == "bound_blocks":
+        _bound_seq(spec)  # refuse a finite prefix before enumerating
     total = count_words(spec, depth).rows[-1]["count_words"]
     if total > _ENUMERATION_CAP:
         raise EnumerationCapExceeded(
@@ -235,7 +245,7 @@ def check_singleton_cylinder(code: SlidingBlockCode, spec: ShiftSpec,
     continuation of the bound sequence, digit for digit: one walk through
     the automaton per block, which fails at the first accepted digit that
     leaves the continuation."""
-    up = spec.upper
+    up = _bound_seq(spec)
     n = code.window // 3
     aut = _Automaton(spec)
     for i in range(1, n + 1):
@@ -258,7 +268,7 @@ def check_singleton_cylinder(code: SlidingBlockCode, spec: ShiftSpec,
 def check_shifted_block_mismatch(code: SlidingBlockCode,
                                  spec: ShiftSpec) -> ClaimResult:
     """1^j followed by the bound prefix never equals a detector block."""
-    up = spec.upper
+    up = _bound_seq(spec)
     n = code.window // 3
     for j in range(1, 3 * n + 1):
         cand = (1,) * j + tuple(up.digit(r) for r in range(1, 3 * n - j + 1))

@@ -15,6 +15,15 @@ any state as "yes", "no" or, when a suffix ties the whole of a finite
 upper prefix and runs past it, "undetermined"; a periodic point is read
 through it until the state at a block boundary repeats.  The graph layer
 reuses its upper-bound track: its vertex V_k is the upper match length k.
+
+The period-n blocks form rotation classes, so they are walked by necklace:
+the admissible prenecklaces are grown in lexicographic order
+(Fredricksen-Kessler-Maiorana), and one point check per necklace, resumed
+from the state the walk reached, decides its whole class.  A spec known
+only as a finite prefix of length H falls back to checking every admissible
+word in lexicographic order when H <= n or n is a period of the prefix:
+only there can a shift of an n-periodic point tie the whole prefix, and
+the HorizonExhausted raised names the first such tie in word order.
 """
 
 from __future__ import annotations
@@ -357,19 +366,22 @@ def count_words(spec: ShiftSpec, nmax: int, with_per: bool = False) -> CountTabl
     for n, count in enumerate(counts, start=1):
         row = {"n": n, "count_words": count, "exact": True}
         if with_per:
-            row["count_per"] = per_count(spec, n)
+            row["count_per"] = _per_count(aut, n)
         rows.append(row)
     return CountTable(rows)
 
 
-def _point_ok(aut: _Automaton, head: Word, block: Word) -> bool:
+def _point_ok(aut: _Automaton, head: Word, block: Word,
+              resume: Optional[tuple[int, int]] = None) -> bool:
     """Exact membership of the point head block^inf, read digit by digit
     through the automaton up to the first broken bound.
 
     It lies in the shift once the state at a block boundary repeats (the
     run from there repeats one already read) or once every shift of the
     point has been compared with every bound, to a decision or to a tie
-    of a whole common period.
+    of a whole common period.  A caller that has already read the block
+    (with an empty head) from the start state passes the state it reached
+    as `resume`, and reading goes on from there.
     """
     n = len(block)
     horizon = len(head) + n - 1 + max(
@@ -378,14 +390,19 @@ def _point_ok(aut: _Automaton, head: Word, block: Word) -> bool:
         else len(t.bound.preperiod) + math.lcm(n, len(t.bound.period))
         for t in (aut.upper, aut.lower) if t is not None)
     step, state, read = aut.step, aut.start, 0
+    seen = set()
     try:
+        if resume is not None:
+            # the horizon is at least n, so the first block never reaches it
+            seen.add(state)
+            state, read = resume, n
         for a in head:
             state = step(state, a)
             if state is None:
                 return False
             read += 1
-        seen = {state}
-        while True:
+        while state not in seen:
+            seen.add(state)
             for a in block:
                 if read >= horizon:
                     return True
@@ -393,9 +410,7 @@ def _point_ok(aut: _Automaton, head: Word, block: Word) -> bool:
                 if state is None:
                     return False
                 read += 1
-            if state in seen:
-                return True
-            seen.add(state)
+        return True
     except SpecPrefixTooShort:
         # the shift that ties the whole prefix began len(prefix) digits ago
         known = aut.upper.known
@@ -404,27 +419,89 @@ def _point_ok(aut: _Automaton, head: Word, block: Word) -> bool:
             f"{tie} ties the {known}-digit upper prefix; extend the prefix") from None
 
 
-def _per_blocks(spec: ShiftSpec, n: int) -> Iterator[Word]:
-    """The period-n blocks in lexicographic order: the admissible words of
-    length n whose repetition stays in the shift, all read through one
-    automaton so that its memoised transitions serve every word."""
-    aut = _Automaton(spec)
-    for w in iter_words(spec, n):
-        if _point_ok(aut, (), w):
-            yield w
+def _necklaces(aut: _Automaton, n: int) -> Iterator[tuple[Word, int, tuple[int, int]]]:
+    """(w, p, state) for every necklace w of length n that the automaton
+    reads from its start state, in lexicographic order: w is the least of
+    its rotations, p its least period and state the one w reaches.
+
+    Prenecklaces are grown digit by digit (Fredricksen-Kessler-Maiorana):
+    after a prenecklace w_1 .. w_t of period p, a digit below w_{t+1-p}
+    would start a smaller rotation and is never entered, the digit
+    w_{t+1-p} keeps the period and a larger digit makes it t + 1.  A
+    prenecklace of length n is a necklace exactly when p divides n.
+    """
+    acc: list[int] = []
+    stack = [(iter(aut.successors(aut.start)), 1)]
+    while stack:
+        children, p = stack[-1]
+        t = len(acc)
+        low = acc[t - p] if t else 0
+        for a, state in children:
+            if a < low:
+                continue
+            q = p if a == low else t + 1
+            if t + 1 < n:
+                acc.append(a)
+                stack.append((iter(aut.successors(state)), q))
+                break
+            if n % q == 0:
+                yield (*acc, a), q, state
+        else:
+            stack.pop()
+            if acc:
+                acc.pop()
+
+
+def _per_blocks(aut: _Automaton, n: int) -> Iterator[tuple[Word, int]]:
+    """The period-n blocks by rotation class: pairs (w, k) such that w and
+    its first k - 1 rotations are blocks, together every block once.
+
+    The set of blocks is closed under rotation, so the necklaces are walked
+    and one check per necklace w, resumed from the state the walk reached,
+    credits the p distinct rotations of w (p its least period).  On a
+    finite upper prefix that has period n (every prefix of length H <= n
+    has), a shift of an n-periodic point can tie the whole prefix; there
+    every admissible word is checked on its own, in lexicographic order
+    (k = 1), so that HorizonExhausted names the first tie in word order.
+    """
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    up = aut.upper
+    if up.finite and all(up.digits[i] == up.digits[i + n] for i in range(up.known - n)):
+        for w in _lex_words(aut.start, n, aut.successors):
+            if _point_ok(aut, (), w):
+                yield w, 1
+        return
+    for w, p, state in _necklaces(aut, n):
+        if _point_ok(aut, (), w, state):
+            yield w, p
+
+
+def _per_points(aut: _Automaton, n: int) -> list[Word]:
+    return sorted(w[i:] + w[:i] for w, k in _per_blocks(aut, n) for i in range(k))
+
+
+def _per_count(aut: _Automaton, n: int) -> int:
+    return sum(k for _w, k in _per_blocks(aut, n))
 
 
 def per_points(spec: ShiftSpec, n: int) -> list[Word]:
     """Blocks of the points fixed by the n-th shift power: all w of length
-    n whose every rotation, repeated periodically, stays within bounds.
+    n whose every rotation, repeated periodically, stays within bounds, in
+    lexicographic order.
 
-    Blocks of non-least period are included, matching sigma^n x = x.
+    Blocks of non-least period are included, matching sigma^n x = x.  They
+    are found by necklace: one check per rotation class, whose members are
+    then listed (see `_per_blocks` for the finite-prefix fallback, which
+    checks word by word when the prefix has length H <= n or period n).
     """
-    return list(_per_blocks(spec, n))
+    return _per_points(_Automaton(spec), n)
 
 
 def per_count(spec: ShiftSpec, n: int) -> int:
-    return sum(1 for _ in _per_blocks(spec, n))
+    """The number of period-n blocks, len(per_points(spec, n)), without
+    listing them: each checked necklace adds its least period."""
+    return _per_count(_Automaton(spec), n)
 
 
 def entropy_profile(table: CountTable) -> list[dict]:
@@ -503,16 +580,23 @@ def eventually_periodic_completion(spec: ShiftSpec, w, max_extra: int = 6,
     nothing.
     """
     w = word(w)
-    periods: list[Word] = []
-    for k in range(1, max_period + 1):
-        periods.extend(per_points(spec, k))
     aut = _Automaton(spec)
     verdict, state = aut.read(aut.start, w)
     if verdict == NO:
         return None
+    built: list[Word] = []
+    unbuilt = (p for k in range(1, max_period + 1) for p in _per_points(aut, k))
+
+    def periods():
+        # the blocks of periods 1, 2, ..., each length built when first reached
+        yield from built
+        for p in unbuilt:
+            built.append(p)
+            yield p
+
     for extra in range(max_extra + 1):
         for u in _lex_words(state, extra, aut.followers, w):
-            for p in periods:
+            for p in periods():
                 cand = EvPeriodicSeq.make(u, p)
                 if _point_ok(aut, cand.preperiod, cand.period):
                     return cand

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import EmptyPer
-from .language import CountTable, ShiftSpec, count_words, per_count, per_points
+from .language import (CountTable, ShiftSpec, _Automaton, _per_count, count_words,
+                       per_points)
 from .order import Word, word
 
 
@@ -143,7 +144,8 @@ def htop_from_table(spec: ShiftSpec, table: CountTable,
             for n, c in enumerate(counts, start=1)]
     pn = per_nmax if per_nmax is not None else min(nmax, 12)
     known = {r["n"]: r["count_per"] for r in table.rows if "count_per" in r}
-    pcounts = [known[n] if n in known else per_count(spec, n)
+    aut = _Automaton(spec)  # one automaton for every length's block walk
+    pcounts = [known[n] if n in known else _per_count(aut, n)
                for n in range(1, pn + 1)]
     pest = [math.log(c) / n if c > 0 else None
             for n, c in enumerate(pcounts, start=1)]

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -105,6 +106,24 @@ def test_singleton_cylinder_counterexample():
     claim = check_singleton_cylinder(code, spec, 5)
     assert (claim.status, claim.detail, claim.counterexample) == (
         "fail", "unexpected extension of 212", "2122")
+
+
+def test_bound_blocks_code_refuses_prefix_spec():
+    # a spec known as a finite prefix has no bound blocks to read past it:
+    # every check that reads them refuses it as build_case2_code does
+    spec = ShiftSpec.from_beta(BetaValue.from_rational(F(7, 3)))
+    assert spec.prefix_mode
+    code = SlidingBlockCode(window=3, kind="bound_blocks",
+                            detect=frozenset({word("313")}))
+    with pytest.raises(NotOddPeriodic) as built:
+        build_case2_code(spec)
+    message = f"^{re.escape(str(built.value))}$"
+    with pytest.raises(NotOddPeriodic, match=message):
+        check_singleton_cylinder(code, spec, 6)
+    with pytest.raises(NotOddPeriodic, match=message):
+        check_shifted_block_mismatch(code, spec)
+    with pytest.raises(NotOddPeriodic, match=message):
+        verify_factor(code, spec, 6)
 
 
 def test_shifted_block_mismatch():

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from negbeta import oracle
@@ -222,6 +222,16 @@ def test_two_sided_conservative_rule_certified():
     assert missing == [], f"uncertified words: {missing}"
 
 
+def test_completion_builds_period_blocks_when_reached():
+    # the period-3 blocks of this 3-digit prefix raise HorizonExhausted
+    # ((211)^inf ties the whole prefix), but the first candidate, built from
+    # the period-1 blocks alone, already lies in the shift
+    spec = ShiftSpec.from_beta(BetaValue.from_rational(F(13, 10)), prefix_len=3)
+    assert eventually_periodic_completion(spec, (1,)) == EvPeriodicSeq.make((1,), (1,))
+    with pytest.raises(HorizonExhausted):
+        per_points(spec, 3)
+
+
 def test_seq_within_bounds():
     assert seq_within_bounds(B2, EvPeriodicSeq.make((2,), (3,)))
     assert not seq_within_bounds(B2, EvPeriodicSeq.make((1,), (3,)))
@@ -304,6 +314,7 @@ def test_fast_paths_match_oracle_on_generated_bounds(spec, data):
                 per_points(spec, n)
         else:
             assert per_points(spec, n) == per[n]
+            assert per_count(spec, n) == len(per[n])
     klen = min(nmax, 6)
     pattern = spec.upper if spec.prefix_mode else spec.upper.prefix(klen + 1)
     for w in itertools.product(alphabet, repeat=klen):
@@ -319,3 +330,40 @@ def test_fast_paths_match_oracle_on_generated_bounds(spec, data):
     expected = [u for u in itertools.product(alphabet, repeat=depth)
                 if oracle.naive_admissible(spec, w + u) == "yes"]
     assert follower_words(spec, w, depth) == expected
+
+
+@st.composite
+def _prefix_specs(draw):
+    # a finite prefix of length H of a drawn bound; n runs on both sides of
+    # H and over the prefix's periods, where per_points checks word by word
+    upper = draw(_bound_specs()).upper
+    try:
+        return ShiftSpec.make(upper.prefix(draw(st.integers(1, 10))))
+    except ValueError:
+        assume(False)
+
+
+def _outcome(f):
+    try:
+        return f()
+    except (HorizonExhausted, SpecPrefixTooShort) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.one_of(_bound_specs(), _prefix_specs()))
+@example(GOLDEN)
+@example(FIG)
+@example(B2)
+@settings(max_examples=50, deadline=None)
+def test_per_blocks_match_word_by_word_reference(spec):
+    # necklace walk vs every admissible word checked on its own; n up to 12
+    # covers blocks of non-least period (n = 4, 6, 12)
+    for n in range(1, 13):
+        if spec.alphabet ** n > 2 ** 12:
+            break
+        expected = _outcome(
+            lambda: [w for w in iter_words(spec, n) if periodic_block_ok(spec, w)])
+        got = _outcome(lambda: per_points(spec, n))
+        assert got == expected
+        count = _outcome(lambda: per_count(spec, n))
+        assert count == (len(got) if isinstance(got, list) else got)
