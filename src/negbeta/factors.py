@@ -5,8 +5,14 @@ The target shift consists of 1^inf, 2^inf, and every 1-run followed by a
 land on it: one sends a window to 1 exactly on the all-ones block (bases
 below the golden ratio), the other sends a window to 2 exactly on the
 cyclic blocks of the bound sequence (purely odd-periodic expansions).
-All defining claims are re-checked by exhaustive enumeration at a chosen
-depth, and the findings are returned as a structured report.
+
+The defining claims are decided for every admissible word of a chosen
+depth without listing the words: a sliding block code is a finite-state
+transducer, so the images of all words are swept layer by layer over the
+finitely many states (automaton state, last window-1 digits, image shape)
+of the suffix-match automaton times the code's window.  A word is named
+only as the counterexample of a failing claim, by a lexicographic walk
+over the same states.  The findings are returned as a structured report.
 """
 
 from __future__ import annotations
@@ -15,14 +21,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (EnumerationCapExceeded, NotOddPeriodic, OddOneRun,
-                     PatternMismatch, TooShort)
-from .language import (NO, YES, ShiftSpec, _Automaton, count_words,
-                       is_admissible, iter_words)
+                     PatternMismatch, SpecPrefixTooShort, TooShort)
+from .language import NO, YES, ShiftSpec, _Automaton, _lex_first, count_words
 from .numeric import golden_test
 from .order import EvPeriodicSeq, Word, word
 
-# verify_factor holds every admissible word of the chosen depth in memory
-# (about 50 MB at this cap); exact counting refuses deeper runs up front.
+# verify_factor refuses a depth whose admissible words outnumber this cap,
+# counted exactly before any check (exit 3).  The sweep holds no words, so
+# the cap no longer bounds memory; it stays as the documented refusal.
 _ENUMERATION_CAP = 1 << 18
 
 
@@ -159,44 +165,88 @@ def _fmt(w: Word) -> str:
     return "".join(map(str, w))
 
 
+def _after(shape: tuple[int, bool, bool], b: int) -> tuple[int, bool, bool]:
+    """The image shape (leading 1s, a 2 seen, a 1 after a 2) once image
+    symbol b is appended."""
+    ones, two, broken = shape
+    if b == 2:
+        return ones, True, broken
+    return (ones, True, True) if two else (ones + 1, False, False)
+
+
 def verify_factor(code: SlidingBlockCode, spec: ShiftSpec, depth: int) -> FactorReport:
-    """Exhaustively re-check the factor-map claims at the given depth:
-    image containment, the no-1-after-2 shape, shift equivariance, the
-    code-specific word equations, and surjectivity onto the target
-    language."""
-    if depth < code.window:
-        raise TooShort("depth must reach the window length")
+    """Re-check the factor-map claims on every admissible word of the given
+    depth: image containment, the no-1-after-2 shape, shift equivariance,
+    the code-specific word equations, and surjectivity onto the target
+    language.
+
+    The words are swept layer by layer as states (automaton state, last
+    window-1 digits, image shape); the claims read the final layer's
+    shapes and the windows read on the way, and a failing claim names the
+    least word that breaks it.
+    """
+    if depth <= code.window:
+        raise TooShort("depth must exceed the window length")
     if code.kind == "bound_blocks":
-        _bound_seq(spec)  # refuse a finite prefix before enumerating
+        _bound_seq(spec)  # refuse a finite prefix before sweeping
     total = count_words(spec, depth).rows[-1]["count_words"]
     if total > _ENUMERATION_CAP:
         raise EnumerationCapExceeded(
             f"the admissible words of length {depth} outnumber the "
             f"enumeration cap of {_ENUMERATION_CAP}")
-    claims: list[ClaimResult] = []
-    words_at_depth = list(iter_words(spec, depth))
+    aut = _Automaton(spec)
+    m = code.window
+    symbols: dict[Word, int] = {}
+    skew: set[Word] = set()  # windows the code reads apart from their symbol
+    moves: dict = {}
 
-    image = set()
-    bad_contain = bad_monotone = bad_equivariance = None
-    for w in words_at_depth:
-        img = code.apply(w)
-        image.add(img)
-        if not in_x_language(img):
-            bad_contain = bad_contain or w
-        if any(a == 2 and b == 1 for a, b in zip(img, img[1:])):
-            bad_monotone = bad_monotone or w
-        if code.apply(w[1:]) != img[1:]:
-            bad_equivariance = bad_equivariance or w
+    def children(node):
+        got = moves.get(node)
+        if got is None:
+            state, tail, shape = node
+            got = moves[node] = []
+            for a, nxt in aut.successors(state):
+                win = (*tail, a)
+                if len(win) < m:
+                    got.append((a, (nxt, win, shape)))
+                    continue
+                b = symbols.get(win)
+                if b is None:
+                    b = symbols[win] = code.symbol(win)
+                    # sliding the window map commutes with the shift exactly
+                    # when the code reads a lone window as its symbol
+                    if code.apply(win) != (b,):
+                        skew.add(win)
+                got.append((a, (nxt, win[1:], _after(shape, b))))
+        return got
+
+    start = (aut.start, (), (0, False, False))
+    layer = {start}
+    for _ in range(depth):
+        layer = {node for src in layer for _a, node in children(src)}
+    shapes = {shape for _s, _t, shape in layer}
+
+    bad_shape = bad_equivariance = None
+    if any(broken for _o, _t, broken in shapes):
+        bad_shape = _lex_first(start, depth, children, lambda node: node[2][2])
+    if skew:
+        def skew_children(pair):
+            node, hit = pair
+            return [(a, (nxt, hit or (*node[1], a) in skew))
+                    for a, nxt in children(node)]
+        bad_equivariance = _lex_first((start, False), depth, skew_children,
+                                      lambda pair: pair[1])
+    claims: list[ClaimResult] = []
     claims.append(ClaimResult(
         "image_containment",
-        "fail" if bad_contain else "pass",
-        f"{len(words_at_depth)} admissible words of length {depth}",
-        _fmt(bad_contain) if bad_contain else None))
+        "fail" if bad_shape else "pass",
+        f"{total} admissible words of length {depth}",
+        _fmt(bad_shape) if bad_shape else None))
     claims.append(ClaimResult(
         "monotone_twos",
-        "fail" if bad_monotone else "pass",
+        "fail" if bad_shape else "pass",
         "no 1 after a 2 in any image",
-        _fmt(bad_monotone) if bad_monotone else None))
+        _fmt(bad_shape) if bad_shape else None))
     claims.append(ClaimResult(
         "equivariance",
         "fail" if bad_equivariance else "pass",
@@ -204,36 +254,62 @@ def verify_factor(code: SlidingBlockCode, spec: ShiftSpec, depth: int) -> Factor
         _fmt(bad_equivariance) if bad_equivariance else None))
 
     if code.kind == "ones_window":
-        claims.append(check_ones_tail_forbidden(code, spec, depth))
+        claims.append(_ones_tail(aut, code, depth))
     else:
         claims.append(check_singleton_cylinder(code, spec, depth))
         claims.append(check_shifted_block_mismatch(code, spec))
 
-    expected = set(x_language(depth - code.window + 1))
-    missing = sorted(expected - image)
+    # an unbroken image is 1^k 2^(size-k); the largest k missing is the
+    # least missing target word
+    size = depth - m + 1
+    reached = {ones for ones, _t, broken in shapes if not broken}
+    missing = [k for k in range(size, -1, -1) if k not in reached]
     claims.append(ClaimResult(
         "surjectivity_onto_target",
         "pass" if not missing else "fail",
-        f"image covers all {len(expected)} target words of length "
-        f"{depth - code.window + 1}",
-        _fmt(missing[0]) if missing else None))
-    claims.append(_check_named_witnesses(code, spec, depth))
+        f"image covers all {size + 1} target words of length {size}",
+        _fmt((1,) * missing[0] + (2,) * (size - missing[0])) if missing else None))
+    claims.append(_check_named_witnesses(aut, code, spec, depth))
     return FactorReport(code.kind, code.window, depth, claims)
 
 
 def check_ones_tail_forbidden(code: SlidingBlockCode, spec: ShiftSpec,
                               depth: int) -> ClaimResult:
     """No word other than an all-ones word extends by the all-ones window."""
+    return _ones_tail(_Automaton(spec), code, depth)
+
+
+def _ones_tail(aut: _Automaton, code: SlidingBlockCode, depth: int) -> ClaimResult:
+    # Per length, the states reached by words that are not all ones; w 1^n
+    # is refused exactly when reading 1^n from the state of w says NO,
+    # because `read` drops a whole-prefix tie to its border before going on.
     n = code.window
     ones = (1,) * n
+    extends: dict = {}  # state -> 1^n is not refused after it
+
+    def children(node):
+        state, mixed = node
+        return [(a, (nxt, mixed or a != 1)) for a, nxt in aut.successors(state)]
+
+    def accept(node):
+        state, mixed = node
+        if state not in extends:
+            extends[state] = aut.read(state, ones)[0] != NO
+        return mixed and extends[state]
+
+    start = (aut.start, False)
+    layer = {start}
     for length in range(1, depth - n + 1):
-        for w in iter_words(spec, length):
-            if w == (1,) * length:
-                continue
-            if is_admissible(spec, w + ones) != NO:
-                return ClaimResult("ones_tail_forbidden", "fail",
-                                   f"w 1^{n} admissible at |w|={length}",
-                                   _fmt(w))
+        try:
+            layer = {node for src in layer for _a, node in children(src)}
+        except SpecPrefixTooShort:
+            # the walk meets the short prefix, or a counterexample before it,
+            # in word order
+            layer = None
+        if layer is None or any(accept(node) for node in layer):
+            w = _lex_first(start, length, children, accept)
+            return ClaimResult("ones_tail_forbidden", "fail",
+                               f"w 1^{n} admissible at |w|={length}", _fmt(w))
     return ClaimResult("ones_tail_forbidden", "pass",
                        f"w 1^{n} inadmissible for every non-ones w up to "
                        f"length {depth - n}")
@@ -281,14 +357,14 @@ def check_shifted_block_mismatch(code: SlidingBlockCode,
                        f"1^j prefixes differ from all {n} detector blocks")
 
 
-def _check_named_witnesses(code: SlidingBlockCode, spec: ShiftSpec,
-                           depth: int) -> ClaimResult:
+def _check_named_witnesses(aut: _Automaton, code: SlidingBlockCode,
+                           spec: ShiftSpec, depth: int) -> ClaimResult:
     """Concrete preimages of the target points, checked on truncations:
     the all-ones word maps to all ones, the bound prefix to all twos, and
     for each k <= depth/2 some admissible word maps to 1^k 2...."""
     m = code.window
     ones = (1,) * depth
-    if is_admissible(spec, ones) == NO:
+    if aut.read(aut.start, ones)[0] == NO:
         return ClaimResult("witnesses", "fail", "all-ones word inadmissible")
     if set(code.apply(ones)) != {1}:
         return ClaimResult("witnesses", "fail", "image of 1^depth is not all ones")
@@ -300,7 +376,7 @@ def _check_named_witnesses(code: SlidingBlockCode, spec: ShiftSpec,
                            "image of the bound prefix is not all twos")
     for k in range(1, depth // 2 + 1):
         target = (1,) * k + (2,) * (depth - m + 1 - k)
-        witness = _preimage_of_staircase(code, spec, k, depth)
+        witness = _preimage_of_staircase(aut, code, spec, k, depth)
         if witness is None or code.apply(witness) != target:
             return ClaimResult("witnesses", "fail",
                                f"no preimage found for 1^{k} 2...", None)
@@ -308,8 +384,8 @@ def _check_named_witnesses(code: SlidingBlockCode, spec: ShiftSpec,
                        f"explicit preimages found for every 1^k tail, k <= {depth // 2}")
 
 
-def _preimage_of_staircase(code: SlidingBlockCode, spec: ShiftSpec, k: int,
-                           depth: int) -> Optional[Word]:
+def _preimage_of_staircase(aut: _Automaton, code: SlidingBlockCode,
+                           spec: ShiftSpec, k: int, depth: int) -> Optional[Word]:
     """A depth-long admissible word mapping to 1^k 2^(rest)."""
     m = code.window
     if code.kind == "ones_window":
@@ -334,7 +410,7 @@ def _preimage_of_staircase(code: SlidingBlockCode, spec: ShiftSpec, k: int,
         for mid in range(2, spec.alphabet + 1):
             cand = ((1,) * (k - 1) + (mid,)
                     + tuple(up.digit(i) for i in range(1, tail_len + 1)))
-            if is_admissible(spec, cand) == YES and code.apply(cand) == target:
+            if aut.read(aut.start, cand)[0] == YES and code.apply(cand) == target:
                 return cand
         return None
-    return cand if is_admissible(spec, cand) == YES else None
+    return cand if aut.read(aut.start, cand)[0] == YES else None

@@ -313,6 +313,34 @@ def _lex_words(start, n: int, children, head: Word = ()) -> Iterator[Word]:
                 acc.pop()
 
 
+def _lex_first(start, n: int, children, accept) -> Optional[Word]:
+    """The least label sequence (n >= 1 labels) of a path from `start`
+    whose end node satisfies `accept`, or None.  The walk is `_lex_words`'
+    order with a memo of the (depth, node) pairs whose paths were all
+    refused, so no node is expanded twice at one depth."""
+    acc: list = []
+    nodes = [start]
+    dead = set()
+    stack = [iter(children(start))]
+    while stack:
+        depth = len(stack)  # of the nodes listed by stack[-1]
+        for label, node in stack[-1]:
+            if depth == n:
+                if accept(node):
+                    return (*acc, label)
+            elif (depth, node) not in dead:
+                acc.append(label)
+                nodes.append(node)
+                stack.append(iter(children(node)))
+                break
+        else:
+            stack.pop()
+            dead.add((depth - 1, nodes.pop()))
+            if acc:
+                acc.pop()
+    return None
+
+
 def iter_words(spec: ShiftSpec, n: int) -> Iterator[Word]:
     """All admissible words of length n, in lexicographic order.
 

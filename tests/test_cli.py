@@ -94,6 +94,14 @@ def test_factor_command(tmp_path):
     assert run(["factor", "--beta", "13/10", "--depth", "8", "--out", out]) == 0
 
 
+def test_factor_depth_at_window_exits_2(tmp_path, capsys):
+    # both codes have window 3, which the depth must exceed
+    for beta in ("2", "13/10"):
+        assert run(["factor", "--beta", beta, "--depth", "3",
+                    "--out", tmp_path / "w"]) == 2
+        assert "depth must exceed the window length" in capsys.readouterr().err
+
+
 def test_factor_rejects_intrinsically_ergodic_case(tmp_path):
     out = tmp_path / "fx"
     assert run(["factor", "--beta", "golden", "--depth", "6", "--out", out]) == 2

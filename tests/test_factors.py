@@ -4,14 +4,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from negbeta.errors import (NotOddPeriodic, OddOneRun, PatternMismatch,
-                            TooShort)
-from negbeta.factors import (SlidingBlockCode, build_case1_code,
-                             build_case2_code, check_ones_tail_forbidden,
+from negbeta import factors, language
+from negbeta.errors import (EnumerationCapExceeded, NegBetaError,
+                            NotOddPeriodic, OddOneRun, PatternMismatch,
+                            SpecPrefixTooShort, TooShort)
+from negbeta.factors import (ClaimResult, FactorReport, SlidingBlockCode,
+                             build_case1_code, build_case2_code,
+                             check_ones_tail_forbidden,
                              check_shifted_block_mismatch,
                              check_singleton_cylinder, in_x_language,
                              verify_factor, x_language)
-from negbeta.language import ShiftSpec, is_admissible, iter_words
+from negbeta.language import (ShiftSpec, _Automaton, count_words,
+                              is_admissible, iter_words)
 from negbeta.numeric import BetaValue
 from negbeta.order import EvPeriodicSeq, word
 
@@ -161,3 +165,152 @@ def test_monotone_image_shapes():
         img = code.apply(w)
         assert in_x_language(img)
         assert not any(a == 2 and b == 1 for a, b in zip(img, img[1:]))
+
+
+# -- the swept claims against a per-word reference ---------------------------
+
+def _fmt(w):
+    return "".join(map(str, w))
+
+
+def _reference_ones_tail(code, spec, depth):
+    """check_ones_tail_forbidden as a loop over every shorter word."""
+    n = code.window
+    ones = (1,) * n
+    for length in range(1, depth - n + 1):
+        for w in iter_words(spec, length):
+            if w == (1,) * length:
+                continue
+            if is_admissible(spec, w + ones) != "no":
+                return ClaimResult("ones_tail_forbidden", "fail",
+                                   f"w 1^{n} admissible at |w|={length}", _fmt(w))
+    return ClaimResult("ones_tail_forbidden", "pass",
+                       f"w 1^{n} inadmissible for every non-ones w up to "
+                       f"length {depth - n}")
+
+
+def _reference_verify(code, spec, depth):
+    """verify_factor as a loop applying the code to every admissible word
+    of the depth."""
+    if depth <= code.window:
+        raise TooShort("depth must exceed the window length")
+    if code.kind == "bound_blocks":
+        factors._bound_seq(spec)
+    total = count_words(spec, depth).rows[-1]["count_words"]
+    if total > factors._ENUMERATION_CAP:
+        raise EnumerationCapExceeded("cap")
+    words = list(iter_words(spec, depth))
+    image = set()
+    bad_contain = bad_monotone = bad_equivariance = None
+    for w in words:
+        img = code.apply(w)
+        image.add(img)
+        if not in_x_language(img):
+            bad_contain = bad_contain or w
+        if any(a == 2 and b == 1 for a, b in zip(img, img[1:])):
+            bad_monotone = bad_monotone or w
+        if code.apply(w[1:]) != img[1:]:
+            bad_equivariance = bad_equivariance or w
+    claims = [
+        ClaimResult("image_containment", "fail" if bad_contain else "pass",
+                    f"{len(words)} admissible words of length {depth}",
+                    _fmt(bad_contain) if bad_contain else None),
+        ClaimResult("monotone_twos", "fail" if bad_monotone else "pass",
+                    "no 1 after a 2 in any image",
+                    _fmt(bad_monotone) if bad_monotone else None),
+        ClaimResult("equivariance", "fail" if bad_equivariance else "pass",
+                    "dropping the first input digit commutes with the code",
+                    _fmt(bad_equivariance) if bad_equivariance else None)]
+    if code.kind == "ones_window":
+        claims.append(_reference_ones_tail(code, spec, depth))
+    else:
+        claims.append(check_singleton_cylinder(code, spec, depth))
+        claims.append(check_shifted_block_mismatch(code, spec))
+    expected = set(x_language(depth - code.window + 1))
+    missing = sorted(expected - image)
+    claims.append(ClaimResult(
+        "surjectivity_onto_target", "pass" if not missing else "fail",
+        f"image covers all {len(expected)} target words of length "
+        f"{depth - code.window + 1}",
+        _fmt(missing[0]) if missing else None))
+    claims.append(factors._check_named_witnesses(_Automaton(spec), code, spec, depth))
+    return FactorReport(code.kind, code.window, depth, claims)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args).to_json()
+    except NegBetaError as exc:
+        return type(exc).__name__, str(exc)
+
+
+B13_BY_PREFIX = {n: ShiftSpec.from_beta(BetaValue.from_rational(F(13, 10)), prefix_len=n)
+                 for n in (64, 40, 12, 8, 6, 4, 3)}
+DETECT_111 = SlidingBlockCode(3, "bound_blocks", frozenset({word("111")}))
+DETECT_313_133 = SlidingBlockCode(3, "bound_blocks",
+                                  frozenset({word("313"), word("133")}))
+EQUIVALENCE_CASES = (
+    [(build_case2_code(B2), B2, d) for d in range(4, 13)]
+    + [(build_case1_code(B13_BY_PREFIX[n]), B13_BY_PREFIX[n], d)
+       for n in (64, 40, 12) for d in range(4, 15)]
+    + [(code, B2, d) for code in (DETECT_111, DETECT_313_133) for d in range(4, 14)]
+    + [(SlidingBlockCode(m, "ones_window"), B13, d)
+       for m in (1, 2) for d in range(m + 1, 13)])
+
+
+def test_sweep_matches_per_word_reference():
+    for code, spec, depth in EQUIVALENCE_CASES:
+        assert _outcome(verify_factor, code, spec, depth) == \
+            _outcome(_reference_verify, code, spec, depth), (code, spec.upper, depth)
+
+
+def test_sweep_counterexamples():
+    def claim(code, spec, depth, name):
+        return next(c for c in verify_factor(code, spec, depth).claims if c.claim == name)
+
+    got = claim(DETECT_111, B2, 13, "image_containment")
+    assert (got.status, got.counterexample) == ("fail", "1111111111112")
+    got = claim(DETECT_313_133, B2, 13, "surjectivity_onto_target")
+    assert (got.status, got.counterexample) == ("fail", "11111111112")
+    for m in (1, 2):
+        got = claim(SlidingBlockCode(m, "ones_window"), B13, 8, "ones_tail_forbidden")
+        assert (got.status, got.counterexample) == ("fail", "2")
+    spec = B13_BY_PREFIX[12]
+    with pytest.raises(SpecPrefixTooShort, match="^upper bound needed at index 13$"):
+        verify_factor(build_case1_code(spec), spec, 13)
+
+
+def test_ones_tail_matches_reference_on_short_prefixes():
+    # past a short prefix, w 1^n reads through whole-prefix ties, which the
+    # reader drops to their borders: the per-state memo relies on that.  On
+    # the prefix 211, 2 111 ties it whole and is undetermined, not refused.
+    assert is_admissible(B13_BY_PREFIX[3], word("2111")) == "undetermined"
+    for n in (12, 8, 6, 4, 3):
+        spec = B13_BY_PREFIX[n]
+        for code in (SlidingBlockCode(3, "ones_window"),
+                     SlidingBlockCode(2, "ones_window")):
+            for depth in range(code.window + 1, 17):
+                assert _outcome(check_ones_tail_forbidden, code, spec, depth) == \
+                    _outcome(_reference_ones_tail, code, spec, depth), (n, code, depth)
+
+
+def test_depth_must_exceed_window():
+    for code, spec in ((build_case2_code(B2), B2), (build_case1_code(B13), B13)):
+        with pytest.raises(TooShort, match="^depth must exceed the window length$"):
+            verify_factor(code, spec, code.window)
+        depth = code.window + 1
+        assert verify_factor(code, spec, depth).to_json() == \
+            _reference_verify(code, spec, depth).to_json()
+
+
+def test_passing_sweep_lists_no_word(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a word of the depth was listed")
+
+    for module in (language, factors):
+        for name in ("_lex_words", "_lex_first", "iter_words", "enumerate_words"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    report = verify_factor(build_case2_code(B2), B2, 16)
+    assert report.passed
+    assert report.claims[0].detail == "98304 admissible words of length 16"
