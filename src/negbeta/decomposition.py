@@ -129,22 +129,19 @@ class CountMatrix:
     def row_sums(self, nmax: int) -> list[list[int]]:
         """a_i^(n) for n = 1..nmax as exact integers; a_i^(n) counts the
         length-n paths out of W_i inside the high subgraph."""
+        succ = [[j for j in range(1, self.size + 1) if arow[j]]
+                for arow in self.adjacency]
         sums = []
-        vecs = [None] + [dict([(i, 1)]) for i in range(1, self.size + 1)]
+        vecs = [None] + [{i: 1} for i in range(1, self.size + 1)]
         for _n in range(1, nmax + 1):
             row = [0] * (self.size + 1)
-            nxt = [None] * (self.size + 1)
             for i in range(1, self.size + 1):
-                cur = vecs[i]
                 new: dict[int, int] = {}
-                for v, c in cur.items():
-                    arow = self.adjacency[v]
-                    for j in range(1, self.size + 1):
-                        if arow[j]:
-                            new[j] = new.get(j, 0) + c
-                nxt[i] = new
+                for v, c in vecs[i].items():
+                    for j in succ[v]:
+                        new[j] = new.get(j, 0) + c
+                vecs[i] = new
                 row[i] = sum(new.values())
-            vecs = nxt
             sums.append(row)
         return sums
 

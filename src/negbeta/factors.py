@@ -361,8 +361,11 @@ def _check_named_witnesses(aut: _Automaton, code: SlidingBlockCode,
                            spec: ShiftSpec, depth: int) -> ClaimResult:
     """Concrete preimages of the target points, checked on truncations:
     the all-ones word maps to all ones, the bound prefix to all twos, and
-    for each k <= depth/2 some admissible word maps to 1^k 2...."""
+    for each k <= min(depth/2, L - 1) some admissible word maps to 1^k 2...,
+    where L = depth - window + 1 is the image length (the witnesses need a
+    digit after the k + window - 1 leading ones)."""
     m = code.window
+    kmax = min(depth // 2, depth - m)
     ones = (1,) * depth
     if aut.read(aut.start, ones)[0] == NO:
         return ClaimResult("witnesses", "fail", "all-ones word inadmissible")
@@ -374,14 +377,14 @@ def _check_named_witnesses(aut: _Automaton, code: SlidingBlockCode,
     if set(code.apply(bprefix)) != {2}:
         return ClaimResult("witnesses", "fail",
                            "image of the bound prefix is not all twos")
-    for k in range(1, depth // 2 + 1):
+    for k in range(1, kmax + 1):
         target = (1,) * k + (2,) * (depth - m + 1 - k)
         witness = _preimage_of_staircase(aut, code, spec, k, depth)
         if witness is None or code.apply(witness) != target:
             return ClaimResult("witnesses", "fail",
                                f"no preimage found for 1^{k} 2...", None)
     return ClaimResult("witnesses", "pass",
-                       f"explicit preimages found for every 1^k tail, k <= {depth // 2}")
+                       f"explicit preimages found for every 1^k tail, k <= {kmax}")
 
 
 def _preimage_of_staircase(aut: _Automaton, code: SlidingBlockCode,

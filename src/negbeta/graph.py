@@ -9,24 +9,33 @@ extended word.  Labelled paths from V_0 are exactly the admissible words.
 The edges come from the upper-bound track of the suffix-match automaton in
 `negbeta.language`, and `k_of` runs the same track as a plain matcher.
 
+For an eventually periodic bound the rows repeat: `language._Fold` holds
+the track's rows up to N + P - 1, certified to repeat with period P from N
+on (spine edges move up, back edges stay), and a slice copies every higher
+row from the row P below it, so building V_0..V_K runs the track a fixed
+number of times whatever K is.  A finite bound prefix has no fold; each of
+its rows comes from the track.
+
 The slice stores vertices 0..K only.  Operations never extrapolate: walks
-and counts that would leave the slice raise TruncationInsufficient.
-Path counts (`path_counts`, which `path_count` and the excursion counts of
-`negbeta.decomposition` share) run on the slice folded at its verified
-period, so each length costs work in proportion to the fold, not the slice.
+and counts that would leave the slice raise TruncationInsufficient, even
+where the fold would say what lies beyond.  Path counts (`path_counts`,
+which `path_count` and the excursion counts of `negbeta.decomposition`
+share) run on the slice folded at its verified period, so each length costs
+work in proportion to the fold, not the slice; on a slice with a fold that
+period is found among a window of rows whose length does not grow with n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import (PrefixTooShort, TruncationInsufficient,
                      TwoSidedUnsupported)
-from .language import (ShiftSpec, _lex_words, _Track, follower_words,
+from .language import (ShiftSpec, _Fold, _lex_words, _Track, follower_words,
                        is_admissible)
 from .order import (BoundSeq, EvPeriodicSeq, Word, _failure_table,
-                    bound_digit, bound_len, word)
+                    bound_len, word)
 
 
 def k_of(bprefix: BoundSeq, w) -> int:
@@ -62,6 +71,9 @@ class GraphSlice:
     out: tuple             # per vertex: dict label -> target (spine from V_K omitted)
     complete: tuple        # per vertex: all out-edges present in the slice
     alphabet: int
+    # (N, P) of the bound's fold: rows >= N repeat with period P; None for
+    # the slice of a finite bound prefix
+    fold: Optional[tuple[int, int]] = field(default=None, compare=False)
 
     @property
     def edges(self) -> list[tuple[int, int, int]]:
@@ -108,17 +120,27 @@ def build_graph(b: BoundSeq, K: int) -> GraphSlice:
     avail = bound_len(b)
     if avail < K + 2:
         raise PrefixTooShort(f"need {K + 2} digits, have {avail}")
-    digits = [bound_digit(b, i) for i in range(1, K + 2)]
-    track = _Track(digits, 1)
-    alphabet = digits[0]
-    out: list[dict[int, int]] = [{} for _ in range(K + 1)]
-    for i, table in enumerate(out):
-        for a in range(1, alphabet + 1):
-            j = track.advance(i, a)
-            if j is not None and j <= K:  # the spine edge from V_K leaves
-                table[a] = j
+    if isinstance(b, EvPeriodicSeq):
+        pre, per = b.preperiod, b.period
+        spine = (pre + per * ((K + 1) // len(per) + 1))[: K + 1]
+        fold = _Fold.of(b)
+        rows, P, folded = fold.rows, fold.P, (fold.N, fold.P)
+    else:
+        spine = tuple(b[: K + 1])
+        track = _Track(spine, 1)
+        rows, P, folded = [track.row(i, spine[0]) for i in range(K + 1)], None, None
+    out: list[dict[int, int]] = []
+    for i in range(K + 1):
+        if i < len(rows):
+            row = dict(rows[i])
+        else:
+            row = dict(out[i - P])
+            row[spine[i]] = i + 1
+        if i == K:
+            del row[spine[i]]  # the spine edge from V_K leaves the slice
+        out.append(row)
     complete = tuple(i < K for i in range(K + 1))
-    return GraphSlice(K, tuple(digits), tuple(out), complete, alphabet)
+    return GraphSlice(K, spine, tuple(out), complete, spine[0], folded)
 
 
 def build_graph_for_spec(spec: ShiftSpec, K: int) -> GraphSlice:
@@ -163,6 +185,12 @@ def path_counts(graph: GraphSlice, nmax: int, start: int = 0,
     leave) have period p, counting on the vertices below j0 + p with the
     spine out of V_{j0+p-1} bent back to V_j0 gives the same numbers.  j0 + p
     is the least such size; an aperiodic slice keeps all start + nmax rows.
+
+    On a slice with a fold (N, P) the rows from c = max(N, floor) on have
+    period P, so only the first 2(c + P) rows are read.  The least size
+    found there is at most c + P, and its period p holds on at least c + 2P
+    of those P-periodic rows, which is p + P or more: by Fine-Wilf the rows
+    from c on also have period gcd(p, P), so p holds on every later row.
     """
     if nmax < 0:
         raise ValueError(nmax)
@@ -174,6 +202,9 @@ def path_counts(graph: GraphSlice, nmax: int, start: int = 0,
     if nmax == 0:
         return [1]
     m = start + nmax
+    if graph.fold is not None:
+        N, P = graph.fold
+        m = min(m, 2 * (max(N, floor) + P))
     rows = [tuple(sorted(-1 if t == v + 1 else t
                          for t in graph.out[v].values() if t >= floor))
             for v in range(m)]

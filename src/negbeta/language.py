@@ -152,8 +152,9 @@ class _Track:
         """fail[k], the longest proper border of the tie b_1 .. b_k."""
         if k >= len(self.fail):
             # a fourfold step rebuilds less than doubling would when ties
-            # climb one digit at a time (graph slices), and stays short for
-            # the few-digit ties of a membership test
+            # climb one digit at a time (the rows of a fold or of a finite
+            # prefix's graph slice), and stays short for the few-digit ties
+            # of a membership test
             self.fail = _failure_table(self.digits[: 4 * k + 4])
         return self.fail[k]
 
@@ -191,6 +192,72 @@ class _Track:
                 got = k + 1  # the longest tie of a lower bound that a extends
             memo[k] = got
         return got
+
+    def row(self, k: int, alphabet: int) -> dict[int, int]:
+        """The out-row of match length k: accepted digit -> next length."""
+        row = {}
+        for a in range(1, alphabet + 1):
+            j = self.advance(k, a)
+            if j is not None:
+                row[a] = j
+        return row
+
+
+@dataclass(frozen=True)
+class _Fold:
+    """The out-rows of the upper-bound track of an eventually periodic
+    bound b = pre per^inf, stored up to the point where they repeat.
+
+    Let q = |per| and P = q, or 2q when q is odd (the order reads the parity
+    of a position).  `rows` holds the rows of match lengths 0 .. N + P - 1,
+    and every higher row is the row P below it with only its spine edge
+    (digit b_{k+1} -> k + 1) moved up by P.
+
+    Lemma.  Write f(k) for the longest proper border of b_1 .. b_k.  The
+    track's row of k is the spine edge, the digits on the breaking side of
+    b_{k+1} at position k + 1 refused, and every other digit a sent where
+    the row of f(k) sends it; and f(k + 1) is the plain match length after
+    reading b_{k+1} from f(k).  For k >= |pre| the digit b_{k+1} and the
+    parity of k + 1 repeat at k + P.  Hence, if N >= |pre| + q and
+      (a) f(N + P) = f(N): then f(k + P) = f(k) for every k >= N by
+          induction, so row k + P is row k with the spine moved by P; or
+      (b) f(N) = N - q: then f(k) = k - q for every k >= N, since
+          b_{k-q+1} = b_{k+1} keeps extending the border; a digit other than
+          b_{k+1} is sent where row k - q sends it when q is even (same
+          digit, same parity), so the back edges of k + q are those of k,
+          and is refused at k or at k - q when q is odd (same digit,
+          opposite parity), so those rows are spine edges alone.
+    Either way the back edges from rows >= N are those of rows N .. N+P-1.
+    They target no vertex above |pre| + P: a back edge of row k goes to at
+    most f(k) + 1; in (a), which needs pre nonempty, f repeats and is below
+    |pre| + q for large k (a longer border would make b_1 .. b_k q-periodic
+    across the end of pre, against its minimality); (b) makes b_1 .. b_N
+    q-periodic, so pre is empty, and every border that decides a back edge
+    is shorter than q.
+
+    `of` starts from N = |pre| + P + 2 and checks (a) or (b) on the failure
+    table of the first N + P digits.  On a few bounds whose prefix repeats
+    a short period past |pre| (such as 2111112(1)^inf) neither holds there
+    and N moves up by P; one of them holds once N >= 2|pre| + 2q, where f(k)
+    depends only on k mod q (or, for a purely periodic bound, equals k - q).
+    """
+
+    N: int
+    P: int
+    rows: tuple  # dict digit -> next match length, for 0 .. N + P - 1
+
+    @staticmethod
+    def of(bound: EvPeriodicSeq) -> "_Fold":
+        q = len(bound.period)
+        P = q if q % 2 == 0 else 2 * q
+        N = len(bound.preperiod) + P + 2
+        fail = _failure_table(bound.prefix(N + P))
+        while not (fail[N + P] == fail[N] or fail[N] == N - q):
+            N += P
+            fail = _failure_table(bound.prefix(N + P))
+        track = _Track(bound, 1)
+        alphabet = bound.digit(1)
+        return _Fold(N, P, tuple(track.row(k, alphabet) for k in range(N + P)))
 
 
 class _Automaton:

@@ -83,26 +83,6 @@ def mu_n(spec: ShiftSpec, n: int, m: int) -> EmpiricalMeasure:
     return EmpiricalMeasure(n, m, N, {w: Fraction(c, N) for w, c in hits.items()})
 
 
-def mu_n_rotation_averaged(spec: ShiftSpec, n: int, m: int) -> EmpiricalMeasure:
-    """Companion diagnostic: average cylinder masses over all rotations of
-    each block.  The block set is rotation-closed, so this agrees exactly
-    with mu_n; a mismatch signals an enumeration bug."""
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
-    blocks = per_points(spec, n)
-    if not blocks:
-        raise EmptyPer(f"no period-{n} blocks")
-    N = len(blocks)
-    hits: dict[Word, int] = {}
-    for p in blocks:
-        doubled = p + p
-        for j in range(n):
-            for ell in range(1, m + 1):
-                w = doubled[j: j + ell]
-                hits[w] = hits.get(w, 0) + 1
-    return EmpiricalMeasure(n, m, N, {w: Fraction(c, N * n) for w, c in hits.items()})
-
-
 @dataclass
 class EntropyEstimate:
     value: float                     # (1/nmax) log #L_nmax

@@ -45,9 +45,6 @@ class IntervalValue:
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
 
 UnitPoint = Fraction | IntervalValue
 

@@ -260,3 +260,15 @@ def test_profile_estimates_nonincreasing_in_cutoff_observed():
     if violations:
         print(f"\nnonmonotone excursion estimates observed: {violations}")
     assert isinstance(violations, list)
+
+
+def test_row_sums_match_dense_matrix_powers():
+    for graph in (BS, build_graph_for_spec(ShiftSpec.golden(), 40)):
+        for L in (1, 2, 5):
+            cm = CountMatrix.from_graph(graph, L)
+            sums = cm.row_sums(12)
+            power = [[int(i == j) for j in range(cm.size + 1)] for i in range(cm.size + 1)]
+            for n in range(1, 13):
+                power = [[sum(power[i][k] * cm.adjacency[k][j] for k in range(cm.size + 1))
+                          for j in range(cm.size + 1)] for i in range(cm.size + 1)]
+                assert sums[n - 1][1:] == [sum(power[i][1:]) for i in range(1, cm.size + 1)]

@@ -314,3 +314,14 @@ def test_passing_sweep_lists_no_word(monkeypatch):
     report = verify_factor(build_case2_code(B2), B2, 16)
     assert report.passed
     assert report.claims[0].detail == "98304 admissible words of length 16"
+
+
+def test_named_witnesses_pass_at_small_depths():
+    # the staircase witnesses 1^k 2^(L-k) need k <= L - 1, L = depth - window + 1
+    for code, spec in ((build_case2_code(B2), B2), (build_case1_code(B13), B13)):
+        for depth in range(4, 8):
+            report = verify_factor(code, spec, depth)
+            assert report.passed, (code.kind, depth)
+            kmax = min(depth // 2, depth - code.window)
+            assert report.claims[-1].detail == \
+                f"explicit preimages found for every 1^k tail, k <= {kmax}"

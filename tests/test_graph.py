@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -13,13 +14,14 @@ from negbeta.graph import (build_graph, build_graph_for_spec,
                            follower_equiv_check, gap_scan, k_of,
                            parse_bound_file, path_count, path_counts,
                            path_words, shortest_path_to_v0, walk)
-from negbeta.language import (ShiftSpec, count_words, enumerate_words,
-                              iter_words)
+from negbeta.language import (ShiftSpec, _Fold, _Track, count_words,
+                              enumerate_words, iter_words)
 from negbeta.numeric import BetaValue
 from negbeta.order import EvPeriodicSeq, is_alt_shift_maximal, word
 
 GOLDEN = ShiftSpec.golden()
 FIG = ShiftSpec.make(EvPeriodicSeq.make((), word("3232133")))
+BRANCHY = ShiftSpec.make(EvPeriodicSeq.make((), word("3123111312")))
 GS = build_graph_for_spec(GOLDEN, 20)
 FS = build_graph_for_spec(FIG, 16)
 
@@ -166,7 +168,7 @@ def _periodic_bounds(draw):
 @st.composite
 def _slices(draw):
     # eventually periodic bounds, and rational-base prefixes (aperiodic)
-    K = draw(st.integers(1, 300))
+    K = draw(st.integers(1, 1000))
     if draw(st.booleans()):
         return build_graph(draw(_periodic_bounds()), K)
     q = draw(st.integers(2, 40))
@@ -190,6 +192,19 @@ def test_folded_counts_match_dict_dp(graph, data):
     n = data.draw(st.integers(1, K - L + 1))
     ref = _dict_dp_counts(graph, n - 1, L, L)
     assert [c_count(graph, L, j) for j in range(1, n + 1)] == ref
+
+
+@given(_periodic_bounds(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_capped_window_counts_past_the_fold(upper, data):
+    # floors and starts past max(N, floor) + 2P, with paths long enough that
+    # path_counts reads only its capped window of rows
+    graph = build_graph(upper, 1000)
+    N, P = graph.fold
+    floor = data.draw(st.integers(0, N + 4 * P + 20))
+    start = data.draw(st.integers(max(N, floor) + 2 * P, 2 * (max(N, floor) + P) + 40))
+    n = data.draw(st.integers(0, 1000 - start))
+    assert path_counts(graph, n, start, floor) == _dict_dp_counts(graph, n, start, floor)
 
 
 @given(_periodic_bounds(), st.integers(280, 320))
@@ -260,3 +275,118 @@ def test_exports_and_bound_file():
     assert parse_bound_file("3 2 3, 2 1 3 3") == word("3232133")
     assert parse_bound_file("2 | 1") == EvPeriodicSeq.make((2,), (1,))
     assert parse_bound_file("| 3 2 3 2 1 3 3") == EvPeriodicSeq.make((), word("3232133"))
+
+
+def _drawn_bounds(count, seed):
+    # eventually periodic, alternately shift-maximal bounds: alphabet 2-5,
+    # preperiod 0-7, period 1-8 (before reduction to the canonical form)
+    rng = random.Random(seed)
+    bounds = []
+    while len(bounds) < count:
+        a = rng.randint(2, 5)
+        pre = [rng.randint(1, a) for _ in range(rng.randint(0, 7))]
+        per = [rng.randint(1, a) for _ in range(rng.randint(1, 8))]
+        (pre if pre else per)[0] = a
+        b = EvPeriodicSeq.make(pre, per)
+        if b.digit(1) == a and is_alt_shift_maximal(b).status == "yes":
+            bounds.append(b)
+    return bounds
+
+
+# Bounds whose first N + P digits repeat a short period past the preperiod,
+# so the fold's certificate fails at |pre| + P + 2 and N moves up.
+RAISED_N = [EvPeriodicSeq.make(word(pre), word(per)) for pre, per in
+            (("2111112", "1"), ("2121112", "1211"), ("3121213", "12"),
+             ("3212123", "21"))]
+FOLD_BOUNDS = (_drawn_bounds(300, 20261018) + RAISED_N
+               + [GOLDEN.upper, FIG.upper, BRANCHY.upper])
+
+
+def _per_vertex_build(b, K):
+    # the track run for every vertex and digit, as in a slice without a fold
+    digits = b.prefix(K + 1)
+    track = _Track(digits, 1)
+    out = []
+    for i in range(K + 1):
+        row = {}
+        for a in range(1, digits[0] + 1):
+            j = track.advance(i, a)
+            if j is not None and j <= K:
+                row[a] = j
+        out.append(row)
+    return out
+
+
+def _fold_shape(b):
+    q = len(b.period)
+    P = q if q % 2 == 0 else 2 * q
+    return len(b.preperiod) + P + 2, P
+
+
+def test_fold_rows_repeat_past_N():
+    for b in FOLD_BOUNDS:
+        N, P = _fold(b)
+        N0, P0 = _fold_shape(b)
+        assert P == P0 and N >= N0 and (N - N0) % P == 0
+        assert N > N0 or b not in RAISED_N
+        out = _per_vertex_build(b, 300)
+        for i in range(N, 300 - P):
+            spine = b.digit(i + 1)
+            assert out[i][spine] == i + 1
+            assert out[i + P] == {**out[i], spine: i + P + 1}
+            assert all(t <= len(b.preperiod) + P
+                       for a, t in out[i].items() if a != spine)
+
+
+def _fold(b):
+    fold = _Fold.of(b)
+    assert len(fold.rows) == fold.N + fold.P
+    return fold.N, fold.P
+
+
+def test_build_graph_matches_per_vertex_build():
+    for b in FOLD_BOUNDS:
+        N, P = _fold(b)
+        for K in (0, 1, N + P - 1, N + P, N + P + 1, 300):
+            g = build_graph(b, K)
+            assert list(g.out) == _per_vertex_build(b, K)
+            assert g.spine == b.prefix(K + 1) and g.alphabet == b.digit(1)
+            assert g.complete == tuple(i < K for i in range(K + 1))
+            assert g.fold == (N, P)
+    assert build_graph(word("3232133"), 5).fold is None
+
+
+def test_walk_on_copied_rows_matches_oracle():
+    few = [GOLDEN.upper, RAISED_N[0]] + [b for b in FOLD_BOUNDS if b.digit(1) <= 3][:3]
+    for b in few:
+        spec = ShiftSpec.make(b)
+        N, P = _fold(b)
+        head = b.prefix(N + P)  # walks from V_{N+P} read copied rows only
+        g = build_graph(b, N + P + 12)
+        bprefix = b.prefix(N + P + 13)
+        for n in range(1, 9):
+            for w in itertools.product(range(1, spec.alphabet + 1), repeat=n):
+                for u in (w, head + w) if n <= 5 else (w,):
+                    path = walk(g, u)
+                    if oracle.naive_admissible(spec, u) == "yes":
+                        assert path is not None and path[-1] == oracle.naive_k(bprefix, u)
+                    else:
+                        assert path is None
+
+
+def test_build_graph_track_work_does_not_grow_with_K(monkeypatch):
+    calls = [0]
+    advance = _Track.advance
+
+    def counted(self, k, a):
+        calls[0] += 1
+        return advance(self, k, a)
+
+    monkeypatch.setattr(_Track, "advance", counted)
+    for spec in (GOLDEN, FIG, BRANCHY):
+        work = []
+        for K in (300, 3000):
+            calls[0] = 0
+            build_graph(spec.upper, K)
+            work.append(calls[0])
+        assert work[0] == work[1] > 0
