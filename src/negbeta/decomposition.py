@@ -23,8 +23,8 @@ from typing import Optional
 from .errors import (GlueFailed, NoLFound, NoSelfLoop, NotInGM,
                      TruncationInsufficient)
 from .graph import (GraphSlice, _dist_to_v0, gap_scan, path_counts,
-                    shortest_path_to_v0, walk)
-from .language import NO, ShiftSpec, _Automaton, _lex_words, periodic_block_ok
+                    path_words, shortest_path_to_v0, walk)
+from .language import NO, ShiftSpec, _Automaton, periodic_block_ok
 from .order import Word, _primitive_root, word
 
 
@@ -33,12 +33,7 @@ def c_words(graph: GraphSlice, L: int, n: int) -> list[Word]:
     labels of a path from V_L of length n-1 avoiding V_0 .. V_{L-1}."""
     _check_c_args(graph, L, n)
     first = graph.spine_label(L - 1)  # b_L
-
-    def children(v: int) -> list[tuple[int, int]]:
-        return [(label, dst) for label, dst in sorted(graph.out[v].items())
-                if dst >= L]
-
-    return list(_lex_words(L, n - 1, children, (first,)))
+    return [(first, *w) for w in path_words(graph, n - 1, L, L)]
 
 
 def c_count(graph: GraphSlice, L: int, n: int) -> int:
@@ -79,6 +74,8 @@ def c_entropy_profile(graph: GraphSlice, Lmax: int, nmax: int,
                       epsilon: float) -> CProfile:
     """Tabulate (1/n) log #C_n for L = 1..Lmax and pick the least L whose
     estimates for n in the upper half of the range all stay <= epsilon."""
+    if Lmax < 1:
+        raise ValueError(f"Lmax must be >= 1, got {Lmax}")
     rows = []
     selected = None
     tail_start = max(1, (nmax + 1) // 2)
@@ -103,47 +100,6 @@ def require_profile_cutoff(profile: CProfile) -> int:
     if profile.selected_L is None:
         raise NoLFound(f"no cutoff with tail estimates <= {profile.epsilon}")
     return profile.selected_L
-
-
-@dataclass
-class CountMatrix:
-    """Path counts between high vertices: index 1 is V_{L-1}, and edges
-    into V_{L-1} are removed, so row-1 sums count the excursion words."""
-
-    L: int
-    size: int
-    adjacency: list[list[int]]  # 0/1 entries
-
-    @staticmethod
-    def from_graph(graph: GraphSlice, L: int) -> "CountMatrix":
-        if not 1 <= L <= graph.K:
-            raise ValueError(f"L must be within 1..{graph.K}")
-        size = graph.K - L + 2     # W_1 .. W_size  <->  V_{L-1} .. V_K
-        adj = [[0] * (size + 1) for _ in range(size + 1)]
-        for src in range(L - 1, graph.K + 1):
-            for dst in graph.out[src].values():
-                if dst >= L:
-                    adj[src - L + 2][dst - L + 2] = 1
-        return CountMatrix(L, size, adj)
-
-    def row_sums(self, nmax: int) -> list[list[int]]:
-        """a_i^(n) for n = 1..nmax as exact integers; a_i^(n) counts the
-        length-n paths out of W_i inside the high subgraph."""
-        succ = [[j for j in range(1, self.size + 1) if arow[j]]
-                for arow in self.adjacency]
-        sums = []
-        vecs = [None] + [{i: 1} for i in range(1, self.size + 1)]
-        for _n in range(1, nmax + 1):
-            row = [0] * (self.size + 1)
-            for i in range(1, self.size + 1):
-                new: dict[int, int] = {}
-                for v, c in vecs[i].items():
-                    for j in succ[v]:
-                        new[j] = new.get(j, 0) + c
-                vecs[i] = new
-                row[i] = sum(new.values())
-            sums.append(row)
-        return sums
 
 
 @dataclass
@@ -181,25 +137,26 @@ def bound_check(graph: GraphSlice, L: int, N: int, qmax: int) -> BoundReport:
     q <= qmax, as far as the slice window allows.  Violations are reported,
     not raised: on a correctly built graph they would indicate a bug.
     """
+    if not 1 <= L <= graph.K:
+        raise ValueError(f"L must be within 1..{graph.K}")
     b = graph.alphabet
-    cm = CountMatrix.from_graph(graph, L)
     window = graph.K - (L - 1)
-    sums = cm.row_sums(window)
+    # a_1^(n): length-n paths from V_{L-1} that stay at or above V_L
+    a1s = path_counts(graph, window, L - 1, L)
     scan = gap_scan(graph, N)
     far_ok = scan is not None and scan <= L
-    monotone_ok = True
-    for n in range(1, window):
-        # a_i^(n) <= a_i^(n+1) is only meaningful while both windows fit
-        for i in range(1, cm.size + 1):
-            if (L - 1) + (i - 1) + (n + 1) <= graph.K:
-                if sums[n - 1][i] > sums[n][i]:
-                    monotone_ok = False
+    # a_v^(n) <= a_v^(n+1) for every start v whose length-(n+1) paths fit
+    monotone_ok = all(
+        c[n] <= c[n + 1]
+        for v in range(L - 1, graph.K)
+        for c in [path_counts(graph, graph.K - v, v, L)]
+        for n in range(1, graph.K - v))
     rows = []
     for q in range(2, qmax + 1):
         n = q * N + 1
         if n > window:
             break
-        a1 = sums[n - 1][1]
+        a1 = a1s[n]
         bound = b ** (2 * q - 3) * N ** (2 * q - 3)
         rows.append({"q": q, "n": n, "a1": a1, "bound": bound,
                      "ok": a1 <= bound, "margin": bound - a1})

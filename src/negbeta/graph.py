@@ -19,10 +19,12 @@ its rows comes from the track.
 The slice stores vertices 0..K only.  Operations never extrapolate: walks
 and counts that would leave the slice raise TruncationInsufficient, even
 where the fold would say what lies beyond.  Path counts (`path_counts`,
-which `path_count` and the excursion counts of `negbeta.decomposition`
-share) run on the slice folded at its verified period, so each length costs
-work in proportion to the fold, not the slice; on a slice with a fold that
-period is found among a window of rows whose length does not grow with n.
+which `path_count`, the excursion counts of `negbeta.decomposition` and its
+`bound_check` share) run on the slice folded at its verified period, so
+each length costs work in proportion to the fold, not the slice; on a slice
+with a fold that period is found among a window of rows whose length does
+not grow with n.  `path_words` walks the same edges, with the same floor,
+to list the words those counts count.
 """
 
 from __future__ import annotations
@@ -228,14 +230,17 @@ def path_counts(graph: GraphSlice, nmax: int, start: int = 0,
     return counts
 
 
-def path_words(graph: GraphSlice, n: int, start: int = 0) -> Iterator[Word]:
-    """All length-n labelled path words from `start`, lexicographically."""
+def path_words(graph: GraphSlice, n: int, start: int = 0,
+               floor: int = 0) -> Iterator[Word]:
+    """All length-n labelled path words from `start`, lexicographically,
+    using only edges into vertices >= floor."""
     if n < 0:
         raise ValueError(n)
     if start + n > graph.K:
         raise TruncationInsufficient(
             f"length-{n} paths from V_{start} can leave the K={graph.K} slice")
-    yield from _lex_words(start, n, lambda v: sorted(graph.out[v].items()))
+    yield from _lex_words(start, n, lambda v: [
+        (label, t) for label, t in sorted(graph.out[v].items()) if t >= floor])
 
 
 def shortest_path_to_v0(graph: GraphSlice, i: int) -> tuple[int, Word]:

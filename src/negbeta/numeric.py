@@ -17,7 +17,7 @@ from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from .errors import AmbiguousDigit, DomainError, UndecidableOrder
-from .order import EvPeriodicSeq, Word, _alt_sign, word
+from .order import EQ, LT, EvPeriodicSeq, Word, cmp_prefix, word
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -71,6 +71,9 @@ class BetaValue:
 
     @staticmethod
     def golden(bits: int = 64) -> "BetaValue":
+        if bits < 1:
+            raise DomainError(f"precision must be at least 1 bit, got {bits}")
+
         def refine(b: int) -> tuple[Fraction, Fraction]:
             s = math.isqrt(5 << (2 * b))
             return (1 + Fraction(s, 1 << b)) / 2, (1 + Fraction(s + 1, 1 << b)) / 2
@@ -289,11 +292,9 @@ def golden_test(beta: BetaValue, horizon: int = 64, max_bits: int = 4096) -> str
     for the golden base itself.
     """
     got = expand(beta, ONE, horizon, max_bits=max_bits)
-    for i in range(1, got.certified + 1):
-        a = got.digits[i - 1]
-        t = GOLDEN_UPPER.digit(i)
-        if a != t:
-            return "below" if _alt_sign(i, a, t) < 0 else "at_or_above"
+    c = cmp_prefix(got.digits[: got.certified], GOLDEN_UPPER)
+    if c != EQ:
+        return "below" if c == LT else "at_or_above"
     if beta.label == "golden":
         return "at_or_above"
     if beta.is_exact:
@@ -318,9 +319,6 @@ def psi_value(beta: BetaValue, seq) -> IntervalValue:
     """
     blo, bhi = beta.bounds()
     if isinstance(seq, EvPeriodicSeq):
-        if beta.is_exact:
-            v = _psi_ev_exact(beta.exact, seq)
-            return IntervalValue(v, v)
         v0 = _psi_ev_exact(blo, seq)
         v1 = _psi_ev_exact(bhi, seq)
         # The series is not monotone in beta; pad the endpoint values by the
@@ -333,12 +331,6 @@ def psi_value(beta: BetaValue, seq) -> IntervalValue:
     if m == 0:
         raise ValueError("empty word")
     maxd = max(*w, math.floor(bhi) + 1)
-    if beta.is_exact:
-        b = beta.exact
-        partial = sum(Fraction(d) * (-1) ** (i + 1) / b**i
-                      for i, d in enumerate(w, start=1))
-        tail = Fraction(maxd) / (b**m * (b - 1))
-        return IntervalValue(partial - tail, partial + tail)
     lo = hi = ZERO
     for i, d in enumerate(w, start=1):
         plo, phi = _interval_pow_recip(blo, bhi, i)

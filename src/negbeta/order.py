@@ -40,14 +40,13 @@ def alt_cmp(u: Word, v: Word) -> int:
     """Compare equal-length words; returns LT, EQ or GT in alternating order."""
     if len(u) != len(v):
         raise LengthMismatch(f"{len(u)} vs {len(v)}")
-    for i, (a, b) in enumerate(zip(u, v), start=1):
-        if a != b:
-            return _alt_sign(i, a, b)
-    return EQ
+    return cmp_prefix(u, v)
 
 
 def cmp_prefix(u: Word, v) -> int:
-    """Compare a word against the first len(u) digits of a sequence or word.
+    """Compare a word against the first len(u) digits of a sequence or word,
+    stopping at the first digit where they differ; u may be any iterable of
+    digits, read lazily.
 
     EQ means u ties the truncation digit for digit; callers that need a
     strict outcome must interpret the tie themselves (non-strict bounds
@@ -162,11 +161,7 @@ def alt_cmp_seq(s: EvPeriodicSeq, t: EvPeriodicSeq) -> int:
     """
     horizon = max(len(s.preperiod), len(t.preperiod)) + math.lcm(
         len(s.period), len(t.period))
-    for i in range(1, horizon + 1):
-        a, b = s.digit(i), t.digit(i)
-        if a != b:
-            return _alt_sign(i, a, b)
-    return EQ
+    return cmp_prefix(map(s.digit, range(1, horizon + 1)), t)
 
 
 BoundSeq = EvPeriodicSeq | Word

@@ -116,6 +116,23 @@ def test_exit_codes(tmp_path):
                 "--out", out]) == 3
 
 
+def test_golden_precision_zero_exits_2(tmp_path, capsys):
+    for verb in ("expand", "factor"):
+        for bits in ("0", "-2"):
+            assert run([verb, "--beta", "golden", "--precision-bits", bits,
+                        "--out", tmp_path / "p"]) == 2
+            assert "precision" in capsys.readouterr().err
+    assert run(["expand", "--beta", "13/10", "--precision-bits", "0",
+                "--n", "5", "--out", tmp_path / "p"]) == 0
+
+
+def test_entropy_cutoff_below_one_exits_2(tmp_path, capsys):
+    for L in ("0", "-2"):
+        assert run(["entropy", "--beta", "golden", "--n", "5", "--L", L,
+                    "--out", tmp_path / "e"]) == 2
+        assert "Lmax must be >= 1" in capsys.readouterr().err
+
+
 def test_factor_depth_over_enumeration_cap(tmp_path, capsys):
     # about 3 * 2^1099 words: exact counting refuses before enumerating
     start = time.perf_counter()

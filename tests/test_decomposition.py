@@ -5,12 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from negbeta import oracle
-from negbeta.decomposition import (CountMatrix, bound_check, c_count,
-                                   c_entropy_profile, c_words, glue,
-                                   require_profile_cutoff, split, t_gap)
+from negbeta.decomposition import (bound_check, c_count, c_entropy_profile,
+                                   c_words, glue, require_profile_cutoff,
+                                   split, t_gap)
 from negbeta.errors import (GlueFailed, NoLFound, NoSelfLoop, NotInGM,
                             TruncationInsufficient)
-from negbeta.graph import build_graph_for_spec, walk
+from negbeta.graph import build_graph_for_spec, path_counts, walk
 from negbeta.language import (ShiftSpec, is_admissible, iter_words,
                               periodic_block_ok)
 from negbeta.numeric import BetaValue
@@ -54,14 +54,17 @@ def test_c_words_are_excursions():
                 assert vseq is not None and all(v >= L for v in vseq[1:])
 
 
-def test_c_count_matches_count_matrix():
+def test_c_count_matches_a1_counts():
+    # a_1^(n), the bound check's count of length-n paths from V_{L-1} that
+    # stay at or above V_L, is the number of excursion words of length n
     for gs, Ls in ((GS, (1, 2, 3)), (FS, (1, 2, 3)), (BS, (2, 6))):
         for L in Ls:
-            cm = CountMatrix.from_graph(gs, L)
             window = gs.K - (L - 1)
-            sums = cm.row_sums(window)
+            a1s = path_counts(gs, window, L - 1, L)
             for n in range(1, window + 1):
-                assert sums[n - 1][1] == c_count(gs, L, n)
+                assert a1s[n] == c_count(gs, L, n)
+                if n <= 10:
+                    assert a1s[n] == len(c_words(gs, L, n))
 
 
 def test_entropy_profile_selects_cutoff():
@@ -93,8 +96,7 @@ def test_bound_check_branching_fixture():
     assert rows[2]["n"] == 9 and rows[2]["a1"] == 2 and rows[2]["bound"] == 12
     assert rows[3]["n"] == 13 and rows[3]["a1"] == 2 and rows[3]["bound"] == 1728
     # the high region genuinely branches: counts exceed the bare spine
-    cm = CountMatrix.from_graph(BS, 6)
-    assert any(row[1] >= 2 for row in cm.row_sums(BS.K - 5))
+    assert any(a1 >= 2 for a1 in path_counts(BS, BS.K - 5, 5, 6)[1:])
 
 
 def test_bound_check_spine_only_region():
@@ -262,13 +264,18 @@ def test_profile_estimates_nonincreasing_in_cutoff_observed():
     assert isinstance(violations, list)
 
 
-def test_row_sums_match_dense_matrix_powers():
-    for graph in (BS, build_graph_for_spec(ShiftSpec.golden(), 40)):
-        for L in (1, 2, 5):
-            cm = CountMatrix.from_graph(graph, L)
-            sums = cm.row_sums(12)
-            power = [[int(i == j) for j in range(cm.size + 1)] for i in range(cm.size + 1)]
-            for n in range(1, 13):
-                power = [[sum(power[i][k] * cm.adjacency[k][j] for k in range(cm.size + 1))
-                          for j in range(cm.size + 1)] for i in range(cm.size + 1)]
-                assert sums[n - 1][1:] == [sum(power[i][1:]) for i in range(1, cm.size + 1)]
+def test_path_counts_match_dense_matrix_powers():
+    # A counts the edges i -> j with j >= L; the row sums of A^n are
+    # A^n 1 = A (A^(n-1) 1), compared for every start v with v + n <= K
+    for graph in (BS, FS, build_graph_for_spec(GOLDEN, 40)):
+        K = graph.K
+        for L in (0, 1, 2, 5):
+            adj = [[list(graph.out[i].values()).count(j) if j >= L else 0
+                    for j in range(K + 1)] for i in range(K + 1)]
+            sums = [[1] * (K + 1)]
+            for _ in range(K):
+                sums.append([sum(a * s for a, s in zip(row, sums[-1]))
+                             for row in adj])
+            for v in range(K + 1):
+                assert path_counts(graph, K - v, v, L) == [
+                    sums[n][v] for n in range(K - v + 1)]

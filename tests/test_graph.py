@@ -113,6 +113,21 @@ def test_path_words_match_language():
             assert list(path_words(gs, n)) == enumerate_words(spec, n)
 
 
+def test_path_words_with_floor_match_filtered_oracle():
+    # the unpruned walks kept only when every vertex after the start is at
+    # or above the floor; the words come out sorted and as many as counted
+    branchy = build_graph_for_spec(BRANCHY, 16)
+    for gs in (GS, FS, branchy):
+        for floor in (1, 2, 3, 6):
+            for start in (0, floor - 1, floor, floor + 2):
+                for n in range(0, 7):
+                    got = list(path_words(gs, n, start, floor))
+                    want = {w for w in oracle.naive_path_words(gs, n, start)
+                            if min(walk(gs, w, start)[1:], default=floor) >= floor}
+                    assert got == sorted(want)
+                    assert len(got) == path_counts(gs, n, start, floor)[n]
+
+
 def test_path_words_match_unpruned_oracle():
     small = build_graph(GOLDEN.upper, 7)
     for n in range(1, 7):

@@ -164,6 +164,18 @@ def test_beta_parse():
         BetaValue.parse("1/0")
 
 
+def test_golden_precision_must_be_positive():
+    # doubling a zero precision never reaches the cap, so it is refused
+    for bits in (0, -3):
+        with pytest.raises(DomainError, match="precision"):
+            BetaValue.golden(bits)
+        with pytest.raises(DomainError, match="precision"):
+            BetaValue.parse("golden", bits=bits)
+    # a rational base carries no precision and keeps answering
+    assert BetaValue.parse("13/10", bits=0).exact == F(13, 10)
+    assert expand(BetaValue.golden(1), F(1), 5).digits == (2, 1, 1, 1, 1)
+
+
 def test_golden_long_orbit():
     # 512 exact interval steps: the enclosure endpoints grow every step
     got = expand(BetaValue.golden(), F(1), 512)
