@@ -23,7 +23,8 @@ from .errors import (AmbiguousDigit, EnumerationCapExceeded, GlueFailed,
                      HorizonExhausted, NegBetaError, NoLFound, PrefixTooShort,
                      SpecPrefixTooShort, TruncationInsufficient)
 from .language import ShiftSpec, count_words, entropy_profile
-from .numeric import BetaValue, classify_d1, expand, golden_test
+from .numeric import (BetaValue, classify_d1, expand, golden_test,
+                      golden_test_prefix)
 
 FORMAT_VERSION = "negbeta/1"
 
@@ -82,6 +83,10 @@ def cmd_expand(args) -> int:
     beta = _beta_of(args)
     got = expand(beta, Fraction(1), args.n)
     cls = classify_d1(beta, args.horizon)
+    # an interval base's classification holds its certified prefix of
+    # length horizon, which is all golden_test would expand
+    golden = (golden_test(beta, horizon=args.horizon) if beta.is_exact
+              else golden_test_prefix(beta, cls.digits))
     payload = {
         "beta": beta.describe(),
         "digits": "".join(map(str, got.digits)),
@@ -89,7 +94,7 @@ def cmd_expand(args) -> int:
         "status": list(got.status),
         "classification": {"kind": cls.kind, "period": cls.period,
                            "preperiod": cls.preperiod},
-        "golden_test": golden_test(beta, horizon=args.horizon),
+        "golden_test": golden,
     }
     path = _emit_json(args, "expand.json", payload)
     print(path)
@@ -116,21 +121,24 @@ def cmd_graph(args) -> int:
 def cmd_entropy(args) -> int:
     spec = _spec_of(args)
     table = count_words(spec, args.n, with_per=args.n <= 14)
-    _emit_text(args, "counts.csv", table.to_csv())
     profile_rows = entropy_profile(table)
     est = measures.htop_from_table(spec, table)
     payload = {"htop": est.to_json(), "profile": profile_rows}
+    cprof = None
     if not spec.two_sided:
         K = args.K or (args.L + args.n)
         slice_ = graphmod.build_graph_for_spec(spec, K)
         cprof = decomposition.c_entropy_profile(slice_, args.L, min(args.n, 12),
                                                 args.epsilon)
-        _emit_text(args, "c_profile.csv", cprof.to_csv())
         payload["selected_L"] = cprof.selected_L
-        if cprof.selected_L is None:
-            _emit_json(args, "entropy.json", payload)
-            raise NoLFound(f"no cutoff found up to L = {args.L}")
+    # every result is computed before anything is written, so a refused
+    # run leaves no partial output
+    _emit_text(args, "counts.csv", table.to_csv())
+    if cprof is not None:
+        _emit_text(args, "c_profile.csv", cprof.to_csv())
     path = _emit_json(args, "entropy.json", payload)
+    if cprof is not None and cprof.selected_L is None:
+        raise NoLFound(f"no cutoff found up to L = {args.L}")
     print(path)
     return 0
 

@@ -92,16 +92,26 @@ class ShiftSpec:
     def from_beta(beta: BetaValue, horizon: int = 256,
                   prefix_len: int = 64) -> "ShiftSpec":
         """Build the spec for a base: classify the expansion of 1 and use a
-        periodic bound when certified, otherwise a certified prefix."""
-        cls = classify_d1(beta, horizon)
-        if cls.purely_periodic:
-            upper = EvPeriodicSeq.make((), cls.digits[: cls.period])
-            lower = "derived" if cls.kind == "periodic_odd" else None
-            return ShiftSpec.make(upper, lower=lower, origin=beta)
-        if cls.kind == "eventually_periodic":
-            upper = EvPeriodicSeq.make(cls.digits[: cls.preperiod],
-                                       cls.digits[cls.preperiod: cls.preperiod + cls.period])
-            return ShiftSpec.make(upper, origin=beta)
+        periodic bound when certified, otherwise a certified prefix.
+
+        An interval base never certifies a cycle, so only its prefix is
+        expanded.  An exact base without a cycle takes its prefix from the
+        classified digits when they reach prefix_len.
+        """
+        if beta.is_exact:
+            cls = classify_d1(beta, horizon)
+            if cls.purely_periodic:
+                upper = EvPeriodicSeq.make((), cls.digits[: cls.period])
+                lower = "derived" if cls.kind == "periodic_odd" else None
+                return ShiftSpec.make(upper, lower=lower, origin=beta)
+            if cls.kind == "eventually_periodic":
+                s, p = cls.preperiod, cls.period
+                upper = EvPeriodicSeq.make(cls.digits[:s], cls.digits[s: s + p])
+                return ShiftSpec.make(upper, origin=beta)
+            if 1 <= prefix_len <= horizon:
+                return ShiftSpec.make(cls.digits[:prefix_len], origin=beta)
+        elif horizon < 1:
+            raise ValueError("horizon >= 1 required")
         got = expand(beta, 1, prefix_len)
         return ShiftSpec.make(got.digits[: got.certified], origin=beta)
 

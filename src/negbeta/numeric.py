@@ -5,7 +5,11 @@ are exact rationals (preferred: every orbit value is an exact Fraction) or
 real intervals refined on demand, e.g. the golden ratio.  Every orbit runs
 on one integer-numerator kernel, `_orbit`: exact bases and intervals alike,
 exact and unrounded.  Interval results are only reported when the
-enclosure determines them; nothing is rounded silently.
+enclosure determines them; nothing is rounded silently.  Each question
+about the orbit of 1 walks it at most once: `classify_d1` keys its cycle
+search on the kernel's raw numerators, `golden_test` decides an exact
+base by an integer test without walking at all, and an interval base's
+certified prefix can be handed to `golden_test_prefix` for reuse.
 """
 
 from __future__ import annotations
@@ -258,7 +262,12 @@ def classify_d1(beta: BetaValue, horizon: int) -> D1Classification:
     if not beta.is_exact:
         got = expand(beta, ONE, horizon)
         return D1Classification("no_cycle", None, None, horizon, got.digits)
-    # an orbit value is keyed by its reduced (numerator, denominator)
+    # An orbit value is keyed by the kernel's raw (numerator, denominator),
+    # which is already reduced.  For beta = p/q in lowest terms and x = 1,
+    # the t-th value is num/q^t with num > 0 and gcd(num, q) = 1: true at
+    # t = 0 (1/1), and the next numerator d*q^(t+1) - p*num has
+    # gcd(d*q^(t+1) - p*num, q) = gcd(p*num, q) = 1.  Reduced pairs are
+    # unique, so equal values have equal keys.
     seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
     orbit = _orbit(beta, ONE)
@@ -275,8 +284,7 @@ def classify_d1(beta: BetaValue, horizon: int) -> D1Classification:
         seen[cur] = t
         d, num, _, den = next(orbit)
         digits.append(d)
-        g = math.gcd(num, den)
-        cur = (num // g, den // g)
+        cur = (num, den)
     return D1Classification("no_cycle", None, None, horizon, tuple(digits))
 
 
@@ -287,20 +295,31 @@ def golden_test(beta: BetaValue, horizon: int = 64, max_bits: int = 4096) -> str
     """Decide whether the expansion of 1 sits below 2(1)^inf, equivalently
     whether beta < (1+sqrt 5)/2.  Returns "below" or "at_or_above".
 
-    The expansion prefix decides almost always; a full tie falls back to an
-    exact square comparison for rational beta, and to the constructor label
-    for the golden base itself.
+    An exact base p/q is decided by the integer test (2p - q)^2 < 5q^2
+    (2p - q > 0 since beta > 1), without walking the orbit.  An interval
+    base is decided by `golden_test_prefix` on its certified prefix of
+    length horizon.
     """
+    if horizon < 1:
+        raise ValueError("n >= 1 required")
+    if beta.is_exact:
+        p, q = beta.exact.numerator, beta.exact.denominator
+        return "below" if (2 * p - q) ** 2 < 5 * q * q else "at_or_above"
     got = expand(beta, ONE, horizon, max_bits=max_bits)
-    c = cmp_prefix(got.digits[: got.certified], GOLDEN_UPPER)
+    return golden_test_prefix(beta, got.digits)
+
+
+def golden_test_prefix(beta: BetaValue, prefix: Word) -> str:
+    """`golden_test` for an interval base, read off a certified prefix of
+    the expansion of 1.  The prefix decides almost always; a full tie is
+    decided only for the golden base itself, by its constructor label.
+    """
+    c = cmp_prefix(prefix, GOLDEN_UPPER)
     if c != EQ:
         return "below" if c == LT else "at_or_above"
     if beta.label == "golden":
         return "at_or_above"
-    if beta.is_exact:
-        p, q = beta.exact.numerator, beta.exact.denominator
-        return "below" if (2 * p - q) ** 2 < 5 * q * q else "at_or_above"
-    raise UndecidableOrder(f"prefix of length {got.certified} ties 2(1)^inf")
+    raise UndecidableOrder(f"prefix of length {len(prefix)} ties 2(1)^inf")
 
 
 def _interval_pow_recip(blo: Fraction, bhi: Fraction, i: int) -> tuple[Fraction, Fraction]:

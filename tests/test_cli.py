@@ -2,6 +2,7 @@ import json
 import time
 
 from negbeta.cli import main
+from negbeta.numeric import BetaValue, golden_test
 
 
 def run(args):
@@ -19,6 +20,17 @@ def test_expand_and_determinism(tmp_path):
     first = (out / "expand.json").read_bytes()
     assert run(["expand", "--beta", "13/10", "--n", "20", "--out", out]) == 0
     assert (out / "expand.json").read_bytes() == first
+
+
+def test_expand_golden_test_field_on_golden(tmp_path):
+    # the field is read off the classification's certified prefix
+    beta = BetaValue.parse("golden")
+    for horizon in (1, 8, 256):
+        out = tmp_path / f"h{horizon}"
+        assert run(["expand", "--beta", "golden", "--horizon", horizon,
+                    "--out", out]) == 0
+        doc = json.loads((out / "expand.json").read_text())
+        assert doc["golden_test"] == golden_test(beta, horizon=horizon)
 
 
 def test_graph_outputs(tmp_path):
@@ -131,6 +143,8 @@ def test_entropy_cutoff_below_one_exits_2(tmp_path, capsys):
         assert run(["entropy", "--beta", "golden", "--n", "5", "--L", L,
                     "--out", tmp_path / "e"]) == 2
         assert "Lmax must be >= 1" in capsys.readouterr().err
+        # the refusal comes before any file is written
+        assert not (tmp_path / "e").exists()
 
 
 def test_factor_depth_over_enumeration_cap(tmp_path, capsys):

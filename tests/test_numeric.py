@@ -1,15 +1,18 @@
 import math
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negbeta.errors import AmbiguousDigit, DomainError
+from negbeta.language import ShiftSpec
 from negbeta.numeric import (BetaValue, CertifiedDigits, D1Classification,
-                             IntervalValue, classify_d1, expand, golden_test,
-                             leo_witness, psi_value, step, step_extended)
-from negbeta.order import EvPeriodicSeq, word
+                             IntervalValue, _orbit, classify_d1, expand,
+                             golden_test, leo_witness, psi_value, step,
+                             step_extended)
+from negbeta.order import EQ, LT, EvPeriodicSeq, cmp_prefix, word
 
 B2 = BetaValue.from_rational(2)
 B13 = BetaValue.from_rational(F(13, 10))
@@ -68,6 +71,9 @@ def test_golden_test():
     assert golden_test(BetaValue.golden()) == "at_or_above"
     assert golden_test(BetaValue.from_rational(F(8, 5))) == "below"     # 1.6
     assert golden_test(BetaValue.from_rational(F(13, 8))) == "at_or_above"  # 1.625
+    for beta in (B13, B2, BetaValue.golden()):
+        with pytest.raises(ValueError, match=r"^n >= 1 required$"):
+            golden_test(beta, horizon=0)
 
 
 def test_psi_closed_forms():
@@ -265,3 +271,88 @@ def test_orbit_kernel_matches_fraction_reference(beta, x, n, max_bits):
     d, nxt = step(beta, x)
     assert d == first.digits[0] and isinstance(nxt, F) == exact
     assert nxt == (enclosure[0] if exact else IntervalValue(*enclosure))
+
+
+@given(st.integers(1, 40), st.integers(1, 200), st.integers(1, 80))
+@settings(max_examples=100, deadline=None)
+def test_orbit_of_one_stays_reduced_over_q_powers(q, k, steps):
+    # beta = p/q in lowest terms: the t-th value of the orbit of 1 is
+    # num/q^t with num coprime to q, so classify_d1 keys on raw pairs
+    beta = BetaValue.from_rational(1 + F(k, q))
+    q = beta.exact.denominator
+    for t, (_, num, hi, den) in enumerate(islice(_orbit(beta, F(1)), steps), 1):
+        assert hi == num > 0 and den == q ** t and math.gcd(num, den) == 1
+
+
+GOLDEN_UPPER = EvPeriodicSeq.make((2,), (1,))
+
+
+def _golden_by_prefix(beta, digits):
+    """golden_test read off the expansion prefix: the prefix decides
+    unless it ties 2 1^inf in full, and the square test decides a tie."""
+    c = cmp_prefix(digits, GOLDEN_UPPER)
+    if c != EQ:
+        return "below" if c == LT else "at_or_above"
+    p, q = beta.exact.numerator, beta.exact.denominator
+    return "below" if (2 * p - q) ** 2 < 5 * q * q else "at_or_above"
+
+
+@given(_exact_bases, st.integers(1, 300))
+@settings(max_examples=100, deadline=None)
+def test_golden_test_exact_matches_prefix_procedure(beta, horizon):
+    digits = expand(beta, F(1), horizon).digits
+    assert golden_test(beta, horizon=horizon) == _golden_by_prefix(beta, digits)
+
+
+def test_golden_test_fibonacci_ratios_match_prefix_procedure():
+    # F(k+1)/F(k) alternate around the golden ratio and their expansions
+    # of 1 tie ever longer prefixes of 2 1^inf
+    fib = [0, 1]
+    while len(fib) < 33:
+        fib.append(fib[-1] + fib[-2])
+    ties = 0
+    for k in range(2, 31):
+        beta = BetaValue.from_rational(F(fib[k + 1], fib[k]))
+        full = expand(beta, F(1), 300).digits
+        for horizon in range(1, 301):
+            want = _golden_by_prefix(beta, full[:horizon])
+            assert golden_test(beta, horizon=horizon) == want, (k, horizon)
+            ties += cmp_prefix(full[:horizon], GOLDEN_UPPER) == EQ
+    assert ties > 300
+
+
+def _from_beta_reference(beta, horizon, prefix_len):
+    """ShiftSpec.from_beta by classifying to the horizon on every base and
+    then expanding the prefix afresh."""
+    cls = classify_d1(beta, horizon)
+    if cls.purely_periodic:
+        lower = "derived" if cls.kind == "periodic_odd" else None
+        return ShiftSpec.make(EvPeriodicSeq.make((), cls.digits[: cls.period]),
+                              lower=lower)
+    if cls.kind == "eventually_periodic":
+        s, p = cls.preperiod, cls.period
+        return ShiftSpec.make(EvPeriodicSeq.make(cls.digits[:s], cls.digits[s: s + p]))
+    got = expand(beta, 1, prefix_len)
+    return ShiftSpec.make(got.digits[: got.certified])
+
+
+_golden_bases = st.builds(BetaValue.golden, st.integers(8, 256))
+
+
+@given(st.one_of(_golden_bases, _interval_bases, _exact_bases),
+       st.integers(1, 300), st.integers(1, 300))
+@settings(max_examples=80, deadline=None)
+def test_from_beta_matches_classify_then_expand(beta, horizon, prefix_len):
+    got = ShiftSpec.from_beta(beta, horizon=horizon, prefix_len=prefix_len)
+    assert got == _from_beta_reference(beta, horizon, prefix_len)
+    assert got.origin is beta
+
+
+def test_from_beta_guards():
+    for beta in (B13, B2, BetaValue.golden(8), _dyadic_beta(F(13, 10), 16),
+                 BetaValue(lo=F(13, 10), hi=F(13, 10), bits=8)):
+        with pytest.raises(ValueError, match=r"^horizon >= 1 required$"):
+            ShiftSpec.from_beta(beta, horizon=0)
+    for beta in (B13, BetaValue.golden(8)):
+        with pytest.raises(ValueError, match=r"^n >= 1 required$"):
+            ShiftSpec.from_beta(beta, prefix_len=0)
