@@ -188,10 +188,16 @@ def cmd_measure(args) -> int:
 def cmd_factor(args) -> int:
     beta = _beta_of(args)
     spec = _spec_of(args)
-    if golden_test(beta, horizon=args.horizon) == "below":
+    # as in cmd_expand, an interval base reads golden_test off its
+    # classification, so the orbit of 1 is walked once
+    cls = None if beta.is_exact else classify_d1(beta, args.horizon)
+    golden = (golden_test(beta, horizon=args.horizon) if cls is None
+              else golden_test_prefix(beta, cls.digits))
+    if golden == "below":
         code = factors.build_case1_code(spec)
     else:
-        cls = classify_d1(beta, args.horizon)
+        if cls is None:
+            cls = classify_d1(beta, args.horizon)
         if cls.kind != "periodic_odd":
             raise ValueError(
                 "no staircase factor construction applies: the base is at or "

@@ -3,13 +3,18 @@
 The map is x -> -bx + floor(bx) + 1 on (0, 1], extended by 0 -> 1.  Bases
 are exact rationals (preferred: every orbit value is an exact Fraction) or
 real intervals refined on demand, e.g. the golden ratio.  Every orbit runs
-on one integer-numerator kernel, `_orbit`: exact bases and intervals alike,
-exact and unrounded.  Interval results are only reported when the
-enclosure determines them; nothing is rounded silently.  Each question
-about the orbit of 1 walks it at most once: `classify_d1` keys its cycle
-search on the kernel's raw numerators, `golden_test` decides an exact
-base by an integer test without walking at all, and an interval base's
-certified prefix can be handed to `golden_test_prefix` for reuse.
+on one integer-numerator kernel, `_orbit`: exact bases and intervals alike.
+Exact bases are never rounded.  `expand` on a refinable interval base
+first tries each precision with enclosures rounded outward onto a fixed
+dyadic denominator; rounding only widens an enclosure, so a digit it
+decides is the digit the exact enclosure decides (the lemma at `_orbit`).
+Only when no precision finishes does it run the exact ladder, whose
+certified prefix and exhausted status it then reports.  Interval results
+are only reported when an enclosure determines them.  Each question
+about the orbit of 1 walks it at most once: `classify_d1` needs no cycle
+search except on an integer base, `golden_test` decides an exact base by
+an integer test without walking at all, and an interval base's certified
+prefix can be handed to `golden_test_prefix` for reuse.
 """
 
 from __future__ import annotations
@@ -158,21 +163,40 @@ def _check_unit(x: UnitPoint, allow_zero: bool) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _orbit(beta: BetaValue, x: UnitPoint) -> Iterator[tuple[int, int, int, int]]:
+def _orbit(beta: BetaValue, x: UnitPoint,
+           round_bits: Optional[int] = None) -> Iterator[tuple[int, int, int, int]]:
     """The orbit of x under the map, one (digit, lo, hi, den) per step.
 
     The point after the step lies in [lo/den, hi/den]: the enclosure that
     Fraction interval arithmetic gives, unreduced over one shared
     denominator, which gains the factor lcm(beta's denominators) per step.
-    Nothing is rounded; exact beta and x keep lo == hi.  Raises
-    AmbiguousDigit once the enclosure straddles a cell boundary.
+    Without round_bits nothing is rounded; exact beta and x keep lo == hi.
+    With round_bits = W the start and every step are rounded outward onto
+    the fixed denominator 2^W (floor for lo, ceiling for hi), so the
+    integers stay O(W + bits) long.  Raises AmbiguousDigit once the
+    enclosure straddles a cell boundary.
     """
+    # Lemma: every digit that the rounded run emits is the digit that the
+    # exact run (round_bits None, same beta and x) emits at that step.
+    # Let E_t = [e, f] be the exact enclosure after t steps and R_t =
+    # [r, s] the rounded one.  By induction on t, (1) E_t lies in R_t and
+    # 0 <= r.  At t = 0 the start is rounded outward.  At a step, (2)
+    # interval arithmetic for x -> d - beta*x is inclusion-monotone: from
+    # 0 <= r <= e <= f <= s and 0 < blo <= bhi follows blo*r <= blo*e <=
+    # bhi*f <= bhi*s, so (3) floor(blo*r) = floor(bhi*s) forces
+    # floor(blo*e) = floor(bhi*f), the same digit d.  Then [d - bhi*f,
+    # d - blo*e] lies in [d - bhi*s, d - blo*r], whose low end is > 0
+    # since d > bhi*s, and rounding outward onto 2^W only widens it.  So
+    # the exact run raises AmbiguousDigit no earlier than the rounded one.
     xlo, xhi = _check_unit(x, allow_zero=False)
     blo, bhi = beta.bounds()
     c = math.lcm(blo.denominator, bhi.denominator)
     alo, ahi = int(blo * c), int(bhi * c)
     den = math.lcm(xlo.denominator, xhi.denominator)
     lo, hi = int(xlo * den), int(xhi * den)
+    if round_bits is not None:
+        unit = 1 << round_bits
+        lo, hi, den = lo * unit // den, -(-hi * unit // den), unit
     while True:
         den *= c
         tlo, thi = alo * lo, ahi * hi
@@ -180,6 +204,9 @@ def _orbit(beta: BetaValue, x: UnitPoint) -> Iterator[tuple[int, int, int, int]]
         if thi // den + 1 != d:
             raise AmbiguousDigit(beta.bits)
         lo, hi = d * den - thi, d * den - tlo
+        if round_bits is not None:
+            # den = 2^W * c, so rounding onto 2^W divides by c
+            lo, hi, den = lo // c, -(-hi // c), unit
         yield d, lo, hi, den
 
 
@@ -204,6 +231,11 @@ def step_extended(beta: BetaValue, x: UnitPoint) -> tuple[Optional[int], UnitPoi
     return step(beta, x)
 
 
+# Bits that the rounded pass of `expand` keeps beyond the base's precision
+# level: the rounding errors then stay far below the base's own width.
+_ROUND_GUARD = 32
+
+
 def expand(beta: BetaValue, x: UnitPoint, n: int, max_bits: int = 4096) -> CertifiedDigits:
     """First n expansion digits of x.
 
@@ -211,9 +243,32 @@ def expand(beta: BetaValue, x: UnitPoint, n: int, max_bits: int = 4096) -> Certi
     ambiguous digit the precision is doubled (re-running from the start)
     up to max_bits; the result then records the certified prefix and an
     exhausted status.
+
+    A refinable interval base first runs that ladder with enclosures
+    rounded outward onto 2^(bits + _ROUND_GUARD), and returns at the first
+    level that certifies all n digits.  By the lemma at `_orbit` the exact
+    enclosure at that level certifies the same n digits, so the answer is
+    the exact ladder's whenever every refiner interval contains one real
+    beta, the contract that the refinement assertion below also assumes.
+    If no level finishes, the exact ladder runs as before and reports the
+    certified prefix.  Exact bases and refiner-less intervals run only the
+    exact ladder.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
+    if beta.exact is None and beta.refiner is not None:
+        bits = beta.bits
+        while True:
+            orbit = _orbit(beta.with_bits(bits), x, bits + _ROUND_GUARD)
+            try:
+                got = tuple(d for d, _, _, _ in islice(orbit, n))
+            except AmbiguousDigit:
+                pass
+            else:
+                return CertifiedDigits(got, n, ("complete",))
+            if bits >= max_bits:
+                break
+            bits *= 2
     bits = beta.bits
     best: list[int] = []
     while True:
@@ -262,15 +317,18 @@ def classify_d1(beta: BetaValue, horizon: int) -> D1Classification:
     if not beta.is_exact:
         got = expand(beta, ONE, horizon)
         return D1Classification("no_cycle", None, None, horizon, got.digits)
-    # An orbit value is keyed by the kernel's raw (numerator, denominator),
-    # which is already reduced.  For beta = p/q in lowest terms and x = 1,
-    # the t-th value is num/q^t with num > 0 and gcd(num, q) = 1: true at
-    # t = 0 (1/1), and the next numerator d*q^(t+1) - p*num has
-    # gcd(d*q^(t+1) - p*num, q) = gcd(p*num, q) = 1.  Reduced pairs are
-    # unique, so equal values have equal keys.
+    # For beta = p/q in lowest terms and x = 1, the t-th orbit value is
+    # num/q^t with num > 0 and gcd(num, q) = 1: true at t = 0 (1/1), and
+    # the next numerator d*q^(t+1) - p*num has gcd(d*q^(t+1) - p*num, q) =
+    # gcd(p*num, q) = 1.  So for q > 1 the reduced denominators q^t differ
+    # from step to step, no value repeats and there is no cycle.  Only an
+    # integer base is searched, keyed by the kernel's raw (num, 1).
+    orbit = _orbit(beta, ONE)
+    if beta.exact.denominator > 1:
+        return D1Classification("no_cycle", None, None, horizon,
+                                tuple(d for d, _, _, _ in islice(orbit, horizon)))
     seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
-    orbit = _orbit(beta, ONE)
     cur = (1, 1)
     for t in range(horizon):
         if cur in seen:

@@ -33,6 +33,13 @@ def test_expand_golden_test_field_on_golden(tmp_path):
         assert doc["golden_test"] == golden_test(beta, horizon=horizon)
 
 
+def test_expand_golden_deep(tmp_path):
+    out = tmp_path / "deep"
+    assert run(["expand", "--beta", "golden", "--n", "2000", "--out", out]) == 0
+    doc = json.loads((out / "expand.json").read_text())
+    assert doc["digits"] == "2" + "1" * 1999 and doc["certified"] == 2000
+
+
 def test_graph_outputs(tmp_path):
     out = tmp_path / "g"
     assert run(["graph", "--beta", "golden", "--K", "8", "--out", out]) == 0
@@ -114,9 +121,22 @@ def test_factor_depth_at_window_exits_2(tmp_path, capsys):
         assert "depth must exceed the window length" in capsys.readouterr().err
 
 
-def test_factor_rejects_intrinsically_ergodic_case(tmp_path):
+def test_factor_rejects_intrinsically_ergodic_case(tmp_path, capsys):
     out = tmp_path / "fx"
     assert run(["factor", "--beta", "golden", "--depth", "6", "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error: no staircase factor construction applies: the base is at or "
+        "above the golden ratio and the expansion of 1 is not purely "
+        "odd-periodic (factors of this shift have unique maximal-entropy "
+        "measures)\n")
+
+
+def test_factor_horizon_below_one_exits_2(tmp_path, capsys):
+    # golden and exact bases refuse with the same message
+    for beta in ("golden", "2"):
+        assert run(["factor", "--beta", beta, "--horizon", "0",
+                    "--out", tmp_path / "h"]) == 2
+        assert capsys.readouterr().err == "error: horizon >= 1 required\n"
 
 
 def test_exit_codes(tmp_path):

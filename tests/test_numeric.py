@@ -183,7 +183,7 @@ def test_golden_precision_must_be_positive():
 
 
 def test_golden_long_orbit():
-    # 512 exact interval steps: the enclosure endpoints grow every step
+    # 512 interval steps, certified by the outward-rounded pass
     got = expand(BetaValue.golden(), F(1), 512)
     assert got.complete and got.digits == (2,) + (1,) * 511
     cls = classify_d1(BetaValue.golden(), 256)
@@ -271,6 +271,59 @@ def test_orbit_kernel_matches_fraction_reference(beta, x, n, max_bits):
     d, nxt = step(beta, x)
     assert d == first.digits[0] and isinstance(nxt, F) == exact
     assert nxt == (enclosure[0] if exact else IntervalValue(*enclosure))
+
+
+def _certified_steps(orbit, n):
+    steps = []
+    try:
+        steps.extend(islice(orbit, n))
+    except AmbiguousDigit:
+        pass
+    return steps
+
+
+_refiner_bases = st.one_of(
+    st.builds(lambda b, bits: _dyadic_beta(b.exact, bits), _exact_bases, st.integers(3, 24)),
+    st.builds(BetaValue.golden, st.integers(3, 64)))
+
+
+@given(st.one_of(_refiner_bases, _exact_bases), _points, st.integers(1, 96),
+       st.integers(1, 150))
+@settings(max_examples=150, deadline=None)
+def test_rounded_orbit_encloses_exact_orbit(beta, x, w, n):
+    # the lemma at _orbit: while both runs decide, the rounded enclosure
+    # contains the exact one, so its digits are the exact run's
+    rounded = _certified_steps(_orbit(beta, x, round_bits=w), n)
+    exact = _certified_steps(_orbit(beta, x), n)
+    assert len(rounded) <= len(exact)
+    for (d, lo, hi, den), (e, elo, ehi, eden) in zip(rounded, exact):
+        assert d == e and den == 1 << w
+        assert F(lo, den) <= F(elo, eden) <= F(ehi, eden) <= F(hi, den)
+
+
+@given(_refiner_bases, _points, st.integers(61, 400),
+       st.sampled_from([8, 16, 64, 4096]))
+@example(BetaValue.golden(64), F(1), 400, 4096)
+@example(_dyadic_beta(F(5, 2), 5), F(1), 400, 4096)
+@example(_dyadic_beta(F(5, 2), 5), F(1), 400, 16)
+@settings(max_examples=40, deadline=None)
+def test_expand_matches_fraction_reference_at_depth(beta, x, n, max_bits):
+    # deep enough to climb several precision levels; a case that
+    # exhausts runs the rounded pass and then the exact ladder
+    assert expand(beta, x, n, max_bits=max_bits) == _reference_orbit(beta, x, n, max_bits)[0]
+
+
+def test_golden_expansion_closed_form_at_2000():
+    got = expand(BetaValue.golden(), F(1), 2000)
+    assert got.complete and got.digits == (2,) + (1,) * 1999
+
+
+def test_classify_d1_integer_bases_match_reference():
+    # only integer bases search for a cycle: (b+1)^inf, period 1
+    for b in range(2, 7):
+        beta = BetaValue.from_rational(b)
+        for horizon in range(1, 13):
+            assert classify_d1(beta, horizon) == _reference_classify(beta, horizon)
 
 
 @given(st.integers(1, 40), st.integers(1, 200), st.integers(1, 80))
