@@ -4,7 +4,9 @@ Verbs: expand | graph | entropy | glue | measure | factor.  Inputs come
 from --beta (rational "13/10", decimal "1.3" read exactly, or "golden") or
 from --b-file (digits, optionally "PRE | PER" for an eventually periodic
 bound).  Every output file embeds the run configuration and a format
-version; identical configurations produce byte-identical outputs.
+version; identical configurations produce byte-identical outputs.  JSON
+files hold the bytes of json.dumps(doc, indent=2, sort_keys=True,
+default=str) plus a newline, written through the stdlib's C encoder.
 
 Exit codes: 2 invalid input, 3 truncation, precision exhausted or an
 enumeration over its cap, 4 verification failure.
@@ -14,8 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import decomposition, factors, graph as graphmod, language, measures
@@ -42,13 +47,95 @@ def _config_of(args: argparse.Namespace) -> dict:
             if k not in skip and v is not None}
 
 
+_CONTAINERS = (dict, list, tuple)
+_INDENT = "  "
+# one compact C encoder per item separator "," + newline + indent; the
+# stdlib's indent= option would drop to its pure-Python encoder instead
+_C_ENCODERS: dict = {}
+
+
+def _c_encode(pad: str):
+    enc = _C_ENCODERS.get(pad)
+    if enc is None:
+        enc = _C_ENCODERS[pad] = json.JSONEncoder(
+            separators=("," + pad, ": "), sort_keys=True, default=str).encode
+    return enc
+
+
+def _token(o) -> str:
+    """A scalar as json.dumps(default=str) writes it."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    return _quote(str(o))
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _quote(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + _token(k) + '"'
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _scalars(values) -> bool:
+    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+
+
+def _dumps(o, nl: str = "\n") -> str:
+    """o as json.dumps(o, indent=2, sort_keys=True, default=str) writes it,
+    nl being the newline and indent of o's own line.
+
+    A container of scalars is one C call whose item separator carries the
+    newline and indent.  So is a list of non-empty scalar-valued dicts
+    (table rows): ensure_ascii escapes every control character, so the
+    only "},<newline>{" in its text falls between two rows, where one
+    replace moves the braces onto their own lines.
+    """
+    if not isinstance(o, _CONTAINERS):
+        return _token(o)
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    inner = nl + _INDENT
+    if isinstance(o, dict):
+        if _scalars(o.values()):
+            return "{" + inner + _c_encode(inner)(o)[1:-1] + nl + "}"
+        body = [_key(k) + ": " + _dumps(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(body) + nl + "}"
+    if _scalars(o):
+        return "[" + inner + _c_encode(inner)(o)[1:-1] + nl + "]"
+    if (all(map(isinstance, o, repeat(dict))) and all(o)
+            and _scalars(chain.from_iterable(map(dict.values, o)))):
+        field = inner + _INDENT
+        rows = _c_encode(field)(o)[2:-2].replace(
+            "}," + field + "{", inner + "}," + inner + "{" + field)
+        return "[" + inner + "{" + field + rows + inner + "}" + nl + "]"
+    return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in o]) + nl + "]"
+
+
 def _emit_json(args, name: str, payload: dict) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     doc = {"format_version": FORMAT_VERSION, "config": _config_of(args)}
     doc.update(payload)
     path = out / name
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
+    path.write_text(_dumps(doc) + "\n")
     return path
 
 
@@ -102,14 +189,16 @@ def cmd_expand(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n >= 1 required, got {args.n}")
     spec = _spec_of(args)
     slice_ = graphmod.build_graph_for_spec(spec, args.K)
     if args.format == "dot":
         path = _emit_text(args, "graph.dot", slice_.to_dot(), comment="//")
     else:
         path = _emit_json(args, "graph.json", {"graph": slice_.to_json()})
-    nmax = min(args.K, args.n or args.K)
-    counts = graphmod.path_counts(slice_, max(nmax, 0))[1:]
+    nmax = args.K if args.n is None else min(args.K, args.n)
+    counts = graphmod.path_counts(slice_, nmax)[1:]
     _emit_json(args, "graph_report.json", {
         "path_counts": counts,
         "gap_scan_N1": graphmod.gap_scan(slice_, 1),
@@ -119,6 +208,10 @@ def cmd_graph(args) -> int:
 
 
 def cmd_entropy(args) -> int:
+    if not math.isfinite(args.epsilon):
+        # checked here too: a two-sided spec never reaches c_entropy_profile,
+        # and the value would land in the config as a non-JSON token
+        raise ValueError(f"epsilon must be finite, got {args.epsilon}")
     spec = _spec_of(args)
     table = count_words(spec, args.n, with_per=args.n <= 14)
     profile_rows = entropy_profile(table)

@@ -76,6 +76,8 @@ def c_entropy_profile(graph: GraphSlice, Lmax: int, nmax: int,
     estimates for n in the upper half of the range all stay <= epsilon."""
     if Lmax < 1:
         raise ValueError(f"Lmax must be >= 1, got {Lmax}")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     rows = []
     selected = None
     tail_start = max(1, (nmax + 1) // 2)

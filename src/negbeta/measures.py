@@ -156,7 +156,9 @@ class GibbsReport:
             "min_good_word": ("".join(map(str, self.min_good_word))
                               if self.min_good_word else None),
             "zero_mass_good": ["".join(map(str, w)) for w in self.zero_mass_good],
-            "implied_K": self.implied_K,
+            # no finite constant is JSON null, as min_good_ratio is
+            "implied_K": (self.implied_K if math.isfinite(self.implied_K)
+                          else None),
             "rows": self.rows,
         }
 

@@ -65,6 +65,21 @@ def test_graph_counts_every_length_by_default(tmp_path):
     assert report["path_counts"] == [fib[n + 3] - 1 for n in range(1, 401)]
 
 
+def test_graph_count_length_below_one_exits_2(tmp_path, capsys):
+    # --n 0 is not "omitted", and a negative length counts nothing
+    for n in ("0", "-1"):
+        out = tmp_path / f"n{n}"
+        assert run(["graph", "--beta", "golden", "--K", "6", "--n", n,
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: --n >= 1 required, got {n}\n"
+        assert not out.exists()
+    out = tmp_path / "n1"
+    assert run(["graph", "--beta", "golden", "--K", "6", "--n", "1",
+                "--out", out]) == 0
+    report = json.loads((out / "graph_report.json").read_text())
+    assert report["path_counts"] == [2]
+
+
 def test_graph_from_bound_file(tmp_path):
     bfile = tmp_path / "b.txt"
     bfile.write_text("| 3 2 3 2 1 3 3\n")
@@ -85,6 +100,22 @@ def test_entropy_command(tmp_path):
     assert counts[2] == "n,count_L,count_Per,exact"
 
 
+def test_entropy_non_finite_epsilon_exits_2(tmp_path, capsys):
+    # golden reaches the cutoff profile; beta = 2 is two-sided and does not
+    for beta in ("golden", "2"):
+        for eps in ("nan", "inf", "-inf"):
+            out = tmp_path / f"e{beta}{eps}"
+            assert run(["entropy", "--beta", beta, "--n", "6",
+                        f"--epsilon={eps}", "--out", out]) == 2
+            assert "epsilon must be finite" in capsys.readouterr().err
+            assert not out.exists()
+    # a negative epsilon is finite: no cutoff is found, and all files are kept
+    out = tmp_path / "neg"
+    assert run(["entropy", "--beta", "golden", "--n", "6", "--epsilon=-1",
+                "--out", out]) == 4
+    assert json.loads((out / "entropy.json").read_text())["selected_L"] is None
+
+
 def test_glue_command(tmp_path):
     words = tmp_path / "words.txt"
     words.write_text("2\n21\n112\n")
@@ -103,6 +134,16 @@ def test_measure_command(tmp_path):
     assert doc["measure"]["per_count"] == 321
     assert doc["gibbs"]["max_ratio"] < 10
     assert (out / "weakstar.csv").exists()
+
+
+def test_measure_infinite_implied_constant_is_null(tmp_path):
+    # --L 1 designates no good word, so no finite Gibbs constant is implied
+    out = tmp_path / "m2"
+    assert run(["measure", "--beta", "2", "--n", "6", "--m", "3", "--L", "1",
+                "--out", out]) == 0
+    text = (out / "measure.json").read_text()
+    assert "Infinity" not in text
+    assert json.loads(text)["gibbs"]["implied_K"] is None
 
 
 def test_factor_command(tmp_path):

@@ -87,6 +87,14 @@ def test_entropy_profile_no_cutoff():
         require_profile_cutoff(prof)
 
 
+def test_entropy_profile_non_finite_epsilon_raises():
+    # no estimate compares above nan, which would select L = 1
+    for eps in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            c_entropy_profile(GS, 4, 6, eps)
+    assert c_entropy_profile(GS, 4, 6, -1.0).selected_L is None
+
+
 def test_bound_check_branching_fixture():
     report = bound_check(BS, 6, 4, 3)
     assert report.far_edge_certified

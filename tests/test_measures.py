@@ -96,6 +96,9 @@ def test_gibbs_zero_mass_flagged():
     assert rep.zero_mass_good == [word("1112")]
     assert rep.min_good_ratio is None
     assert rep.implied_K == math.inf
+    # JSON has no infinity: the report writes null, as for min_good_ratio
+    doc = rep.to_json()
+    assert doc["implied_K"] is None and doc["min_good_ratio"] is None
 
 
 def test_measure_entropy():
