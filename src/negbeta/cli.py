@@ -166,6 +166,15 @@ def _spec_of(args) -> ShiftSpec:
                                prefix_len=max(args.horizon, 64))
 
 
+def _slice_K(args, default: int) -> int:
+    """The slice size: --K when given (at least 1), else the default."""
+    if args.K is None:
+        return default
+    if args.K < 1:
+        raise ValueError(f"--K >= 1 required, got {args.K}")
+    return args.K
+
+
 def cmd_expand(args) -> int:
     beta = _beta_of(args)
     got = expand(beta, Fraction(1), args.n)
@@ -212,6 +221,7 @@ def cmd_entropy(args) -> int:
         # checked here too: a two-sided spec never reaches c_entropy_profile,
         # and the value would land in the config as a non-JSON token
         raise ValueError(f"epsilon must be finite, got {args.epsilon}")
+    K = _slice_K(args, args.L + args.n)
     spec = _spec_of(args)
     table = count_words(spec, args.n, with_per=args.n <= 14)
     profile_rows = entropy_profile(table)
@@ -219,7 +229,6 @@ def cmd_entropy(args) -> int:
     payload = {"htop": est.to_json(), "profile": profile_rows}
     cprof = None
     if not spec.two_sided:
-        K = args.K or (args.L + args.n)
         slice_ = graphmod.build_graph_for_spec(spec, K)
         cprof = decomposition.c_entropy_profile(slice_, args.L, min(args.n, 12),
                                                 args.epsilon)
@@ -237,11 +246,11 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_glue(args) -> int:
+    K = _slice_K(args, 24)
     spec = _spec_of(args)
     words_text = Path(args.words_file).read_text()
     tuples = [w.strip() for w in words_text.replace(",", "\n").splitlines()
               if w.strip()]
-    K = args.K or 24
     slice_ = graphmod.build_graph_for_spec(spec, K)
     result = decomposition.glue(slice_, spec, args.L, args.M, tuples)
     path = _emit_json(args, "glue.json", {"glue": result.to_json()})
@@ -250,21 +259,23 @@ def cmd_glue(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    K = _slice_K(args, 24)
     spec = _spec_of(args)
     measure = measures.mu_n(spec, args.n, args.m)
     if not (measure.check_normalization() and measure.check_consistency()):
         raise VerificationFailure("measure failed exact sanity checks")
-    est = measures.htop_estimate(spec, max(args.n, 4))
+    # the Gibbs exponent (1/N) log #L_N; mu_n found period-n points, so #L_N > 0
+    N = max(args.n, 4)
+    h = math.log(count_words(spec, N).rows[-1]["count_words"]) / N
     gwords = []
     if not spec.two_sided:
-        K = args.K or 24
         slice_ = graphmod.build_graph_for_spec(spec, K)
         for length in range(1, args.m + 1):
             for w in language.iter_words(spec, length):
                 vseq = graphmod.walk(slice_, w)
                 if vseq is not None and vseq[-1] <= args.L - 1:
                     gwords.append(w)
-    gibbs = measures.gibbs_check(measure, gwords, est.value)
+    gibbs = measures.gibbs_check(measure, gwords, h)
     weak = measures.weakstar_diagnostic(
         spec, [n for n in (args.n - 4, args.n - 2, args.n) if n >= args.m],
         min(args.m, 3))

@@ -138,6 +138,12 @@ def bound_check(graph: GraphSlice, L: int, N: int, qmax: int) -> BoundReport:
     Checks a_1^(2N+1) <= bN, and a_1^(qN+1) <= b^(2q-3) N^(2q-3) for
     q <= qmax, as far as the slice window allows.  Violations are reported,
     not raised: on a correctly built graph they would indicate a bug.
+
+    monotone_ok (a_v^(n) <= a_v^(n+1) for every start v >= L - 1 whose
+    length-(n+1) paths fit the slice) is read from the spine, not counted:
+    a counted path of length n >= 1 ends at some u in L..K-1, since edges
+    climb at most one vertex, and the spine edge u -> u+1 extends it, so
+    the counts grow as long as every such u keeps that edge.
     """
     if not 1 <= L <= graph.K:
         raise ValueError(f"L must be within 1..{graph.K}")
@@ -147,12 +153,8 @@ def bound_check(graph: GraphSlice, L: int, N: int, qmax: int) -> BoundReport:
     a1s = path_counts(graph, window, L - 1, L)
     scan = gap_scan(graph, N)
     far_ok = scan is not None and scan <= L
-    # a_v^(n) <= a_v^(n+1) for every start v whose length-(n+1) paths fit
-    monotone_ok = all(
-        c[n] <= c[n + 1]
-        for v in range(L - 1, graph.K)
-        for c in [path_counts(graph, graph.K - v, v, L)]
-        for n in range(1, graph.K - v))
+    monotone_ok = all(graph.out[u].get(graph.spine[u]) == u + 1
+                      for u in range(L, graph.K))
     rows = []
     for q in range(2, qmax + 1):
         n = q * N + 1
@@ -227,16 +229,16 @@ def _assemble(words: list[Word], connectors: list[Word]) -> tuple[Word, Word]:
 
 
 def glue(graph: GraphSlice, spec: ShiftSpec, L: int, M: int, words_in,
-         t: Optional[int] = None, t_cap: int = 12,
-         search_limit: int = 200000) -> GlueResult:
+         t: Optional[int] = None, search_limit: int = 200000) -> GlueResult:
     """Glue good words into an admissible periodic block.
 
     Each input word must walk from V_0 to a vertex below M + L.  The
     connectors all have one common length (the gap): first choice is the
     shortest-path-to-V_0 label word padded with ones to the uniform gap
     value; when V_0 is unreachable inside the slice the gap and connectors
-    are searched (smallest gap first, lexicographic connectors), and every
-    candidate block is verified exactly before being returned.
+    are searched (smallest gap first up to 12, or the given gap t;
+    lexicographic connectors), and every candidate block is verified
+    exactly before being returned.
     """
     words = [word(w) for w in words_in]
     if not words:
@@ -269,7 +271,7 @@ def glue(graph: GraphSlice, spec: ShiftSpec, L: int, M: int, words_in,
         except TruncationInsufficient:
             pass
 
-    gaps = [t] if t is not None else list(range(t_cap + 1))
+    gaps = [t] if t is not None else list(range(13))
     budget = [search_limit]
     for gap in gaps:
         got = _search_connectors(spec, words, gap, budget)

@@ -89,11 +89,8 @@ class GraphSlice:
     def spine_label(self, i: int) -> int:
         return self.spine[i]
 
-    def to_dot(self, header: str = "") -> str:
-        lines = ["digraph slice {"]
-        if header:
-            lines.insert(0, f"// {header}")
-        lines.append("  rankdir=LR;")
+    def to_dot(self) -> str:
+        lines = ["digraph slice {", "  rankdir=LR;"]
         for i in range(self.K + 1):
             shape = "circle" if self.complete[i] else "doublecircle"
             lines.append(f'  V{i} [shape={shape}];')

@@ -674,12 +674,12 @@ def seq_within_bounds(spec: ShiftSpec, seq: EvPeriodicSeq) -> bool:
     return _point_ok(_Automaton(spec), seq.preperiod, seq.period)
 
 
-def eventually_periodic_completion(spec: ShiftSpec, w, max_extra: int = 6,
-                                   max_period: int = 3) -> Optional[EvPeriodicSeq]:
+def eventually_periodic_completion(spec: ShiftSpec, w) -> Optional[EvPeriodicSeq]:
     """Certify that w occurs in the shift by completing it to an eventually
-    periodic point: w, a short bridge, then a repeated admissible block.
-    Bridges are the followers of w that the automaton does not refuse,
-    shortest first, in lexicographic order.
+    periodic point: w, a bridge of at most 6 digits, then a repeated
+    admissible block of period at most 3.  Bridges are the followers of w
+    that the automaton does not refuse, shortest first, in lexicographic
+    order.
 
     Sound but not complete: a certificate proves membership, absence proves
     nothing.
@@ -690,7 +690,7 @@ def eventually_periodic_completion(spec: ShiftSpec, w, max_extra: int = 6,
     if verdict == NO:
         return None
     built: list[Word] = []
-    unbuilt = (p for k in range(1, max_period + 1) for p in _per_points(aut, k))
+    unbuilt = (p for k in range(1, 4) for p in _per_points(aut, k))
 
     def periods():
         # the blocks of periods 1, 2, ..., each length built when first reached
@@ -699,7 +699,7 @@ def eventually_periodic_completion(spec: ShiftSpec, w, max_extra: int = 6,
             built.append(p)
             yield p
 
-    for extra in range(max_extra + 1):
+    for extra in range(7):
         for u in _lex_words(state, extra, aut.followers, w):
             for p in periods():
                 cand = EvPeriodicSeq.make(u, p)

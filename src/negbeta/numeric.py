@@ -106,11 +106,9 @@ class BetaValue:
     def is_exact(self) -> bool:
         return self.exact is not None
 
-    def bounds(self, bits: Optional[int] = None) -> tuple[Fraction, Fraction]:
+    def bounds(self) -> tuple[Fraction, Fraction]:
         if self.exact is not None:
             return self.exact, self.exact
-        if bits is not None and bits != self.bits and self.refiner is not None:
-            return self.refiner(bits)
         return self.lo, self.hi
 
     def with_bits(self, bits: int) -> "BetaValue":
@@ -349,7 +347,7 @@ def classify_d1(beta: BetaValue, horizon: int) -> D1Classification:
 GOLDEN_UPPER = EvPeriodicSeq.make((2,), (1,))
 
 
-def golden_test(beta: BetaValue, horizon: int = 64, max_bits: int = 4096) -> str:
+def golden_test(beta: BetaValue, horizon: int = 64) -> str:
     """Decide whether the expansion of 1 sits below 2(1)^inf, equivalently
     whether beta < (1+sqrt 5)/2.  Returns "below" or "at_or_above".
 
@@ -363,8 +361,7 @@ def golden_test(beta: BetaValue, horizon: int = 64, max_bits: int = 4096) -> str
     if beta.is_exact:
         p, q = beta.exact.numerator, beta.exact.denominator
         return "below" if (2 * p - q) ** 2 < 5 * q * q else "at_or_above"
-    got = expand(beta, ONE, horizon, max_bits=max_bits)
-    return golden_test_prefix(beta, got.digits)
+    return golden_test_prefix(beta, expand(beta, ONE, horizon).digits)
 
 
 def golden_test_prefix(beta: BetaValue, prefix: Word) -> str:

@@ -1,6 +1,9 @@
 import json
 import time
 
+import pytest
+
+from negbeta import cli, measures
 from negbeta.cli import main
 from negbeta.numeric import BetaValue, golden_test
 
@@ -136,6 +139,17 @@ def test_measure_command(tmp_path):
     assert (out / "weakstar.csv").exists()
 
 
+@pytest.mark.parametrize("beta, n", [("golden", 8), ("golden", 9),
+                                     ("2", 6), ("13/10", 10)])
+def test_measure_gibbs_exponent_is_the_word_count_estimate(tmp_path, beta, n):
+    out = tmp_path / "m"
+    assert run(["measure", "--beta", beta, "--n", n, "--m", "3",
+                "--out", out]) == 0
+    h = json.loads((out / "measure.json").read_text())["gibbs"]["h"]
+    spec = cli._spec_of(cli.build_parser().parse_args(["measure", "--beta", beta]))
+    assert h == measures.htop_estimate(spec, max(n, 4)).value
+
+
 def test_measure_infinite_implied_constant_is_null(tmp_path):
     # --L 1 designates no good word, so no finite Gibbs constant is implied
     out = tmp_path / "m2"
@@ -206,6 +220,24 @@ def test_entropy_cutoff_below_one_exits_2(tmp_path, capsys):
         assert "Lmax must be >= 1" in capsys.readouterr().err
         # the refusal comes before any file is written
         assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("verb", [
+    ["entropy", "--n", "6"],
+    ["glue", "--words-file", "WORDS"],
+    ["measure", "--n", "6", "--m", "3"]])
+def test_slice_size_below_one_exits_2(tmp_path, capsys, monkeypatch, verb):
+    def refuse(_args):
+        raise AssertionError("the spec was built before --K was checked")
+
+    (tmp_path / "words.txt").write_text("2\n2\n")
+    verb = [str(tmp_path / "words.txt") if a == "WORDS" else a for a in verb]
+    monkeypatch.setattr(cli, "_spec_of", refuse)
+    for K in ("0", "-3"):
+        assert run([*verb, "--beta", "golden", "--K", K,
+                    "--out", tmp_path / "k"]) == 2
+        assert capsys.readouterr().err == f"error: --K >= 1 required, got {K}\n"
+        assert not (tmp_path / "k").exists()
 
 
 def test_factor_depth_over_enumeration_cap(tmp_path, capsys):

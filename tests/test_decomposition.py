@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -10,7 +11,7 @@ from negbeta.decomposition import (bound_check, c_count, c_entropy_profile,
                                    split, t_gap)
 from negbeta.errors import (GlueFailed, NoLFound, NoSelfLoop, NotInGM,
                             TruncationInsufficient)
-from negbeta.graph import build_graph_for_spec, path_counts, walk
+from negbeta.graph import build_graph, build_graph_for_spec, path_counts, walk
 from negbeta.language import (ShiftSpec, is_admissible, iter_words,
                               periodic_block_ok)
 from negbeta.numeric import BetaValue
@@ -105,6 +106,56 @@ def test_bound_check_branching_fixture():
     assert rows[3]["n"] == 13 and rows[3]["a1"] == 2 and rows[3]["bound"] == 1728
     # the high region genuinely branches: counts exceed the bare spine
     assert any(a1 >= 2 for a1 in path_counts(BS, BS.K - 5, 5, 6)[1:])
+
+
+def _monotone_by_sweep(graph, L):
+    # monotone_ok counted out: a_v^(n) <= a_v^(n+1) for every start v whose
+    # length-(n+1) paths fit, one path_counts sweep per start
+    return all(c[n] <= c[n + 1]
+               for v in range(L - 1, graph.K)
+               for c in [path_counts(graph, graph.K - v, v, L)]
+               for n in range(1, graph.K - v))
+
+
+def _drawn_slices(count, seed):
+    # slices of eventually periodic, alternately shift-maximal bounds
+    # (alphabet 2-4, preperiod 0-5, period 1-6) and of rational-base prefixes
+    rng = random.Random(seed)
+    slices = []
+    while len(slices) < count:
+        K = rng.randint(1, 40)
+        if rng.random() < 0.25:
+            q = rng.randint(2, 30)
+            p = rng.choice([p for p in range(q + 1, 4 * q) if p % q])
+            spec = ShiftSpec.from_beta(BetaValue.from_rational(F(p, q)),
+                                       prefix_len=K + 2)
+            if spec.prefix_mode and len(spec.upper) >= K + 2:
+                slices.append(build_graph_for_spec(spec, K))
+            continue
+        a = rng.randint(2, 4)
+        pre = [rng.randint(1, a) for _ in range(rng.randint(0, 5))]
+        per = [rng.randint(1, a) for _ in range(rng.randint(1, 6))]
+        (pre if pre else per)[0] = a
+        b = EvPeriodicSeq.make(pre, per)
+        if b.digit(1) == a and is_alt_shift_maximal(b).status == "yes":
+            slices.append(build_graph(b, K))
+    return slices
+
+
+def test_monotone_ok_matches_count_sweep():
+    for gs in _drawn_slices(120, 20261019) + [GS, FS, BS]:
+        for L in sorted({1, 2, 3, (gs.K + 1) // 2, gs.K} & set(range(1, gs.K + 1))):
+            assert bound_check(gs, L, 2, 3).monotone_ok == \
+                _monotone_by_sweep(gs, L), (gs.spine, gs.K, L)
+
+
+def test_monotone_ok_reads_a_missing_spine_edge():
+    for gs, L in ((GS, 2), (FS, 3), (BS, 6)):
+        for u in (L, gs.K - 1):
+            out = list(gs.out)
+            out[u] = {a: t for a, t in out[u].items() if t != u + 1}
+            broken = dataclasses.replace(gs, out=tuple(out))
+            assert not bound_check(broken, L, 4, 3).monotone_ok, (gs.K, L, u)
 
 
 def test_bound_check_spine_only_region():
