@@ -6,7 +6,8 @@ from --b-file (digits, optionally "PRE | PER" for an eventually periodic
 bound).  Every output file embeds the run configuration and a format
 version; identical configurations produce byte-identical outputs.  JSON
 files hold the bytes of json.dumps(doc, indent=2, sort_keys=True,
-default=str) plus a newline, written through the stdlib's C encoder.
+default=str) plus a newline; every scalar and key is written by the
+stdlib's C encoder.
 
 Exit codes: 2 invalid input, 3 truncation, precision exhausted or an
 enumeration over its cap, 4 verification failure.
@@ -62,34 +63,12 @@ def _c_encode(pad: str):
     return enc
 
 
-def _token(o) -> str:
-    """A scalar as json.dumps(default=str) writes it."""
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    return _quote(str(o))
-
-
 def _key(k) -> str:
     if isinstance(k, str):
         return _quote(k)
     if k is None or isinstance(k, (int, float)):
-        return '"' + _token(k) + '"'
+        return '"' + _c_encode("")(k) + '"'
+    # json.dumps refuses other key types; the encoder would write a tuple
     raise TypeError(
         f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
@@ -102,14 +81,15 @@ def _dumps(o, nl: str = "\n") -> str:
     """o as json.dumps(o, indent=2, sort_keys=True, default=str) writes it,
     nl being the newline and indent of o's own line.
 
-    A container of scalars is one C call whose item separator carries the
-    newline and indent.  So is a list of non-empty scalar-valued dicts
-    (table rows): ensure_ascii escapes every control character, so the
-    only "},<newline>{" in its text falls between two rows, where one
-    replace moves the braces onto their own lines.
+    Every scalar goes through the stdlib's C encoder: a lone scalar or key
+    is one C call, and so is a container of scalars, whose item separator
+    carries the newline and indent.  So is a list of non-empty
+    scalar-valued dicts (table rows): ensure_ascii escapes every control
+    character, so the only "},<newline>{" in its text falls between two
+    rows, where one replace moves the braces onto their own lines.
     """
     if not isinstance(o, _CONTAINERS):
-        return _token(o)
+        return _c_encode(nl)(o)
     if not o:
         return "{}" if isinstance(o, dict) else "[]"
     inner = nl + _INDENT
@@ -166,13 +146,15 @@ def _spec_of(args) -> ShiftSpec:
                                prefix_len=max(args.horizon, 64))
 
 
+def _at_least_1(option: str, value) -> None:
+    if value is not None and value < 1:
+        raise ValueError(f"--{option} >= 1 required, got {value}")
+
+
 def _slice_K(args, default: int) -> int:
     """The slice size: --K when given (at least 1), else the default."""
-    if args.K is None:
-        return default
-    if args.K < 1:
-        raise ValueError(f"--K >= 1 required, got {args.K}")
-    return args.K
+    _at_least_1("K", args.K)
+    return default if args.K is None else args.K
 
 
 def cmd_expand(args) -> int:
@@ -198,8 +180,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    if args.n is not None and args.n < 1:
-        raise ValueError(f"--n >= 1 required, got {args.n}")
+    _at_least_1("n", args.n)
     spec = _spec_of(args)
     slice_ = graphmod.build_graph_for_spec(spec, args.K)
     if args.format == "dot":
@@ -217,10 +198,12 @@ def cmd_graph(args) -> int:
 
 
 def cmd_entropy(args) -> int:
+    # c_entropy_profile's checks, made first: a two-sided spec never reaches
+    # it, and a non-finite epsilon would land in the config as a non-JSON token
     if not math.isfinite(args.epsilon):
-        # checked here too: a two-sided spec never reaches c_entropy_profile,
-        # and the value would land in the config as a non-JSON token
         raise ValueError(f"epsilon must be finite, got {args.epsilon}")
+    if args.L < 1:
+        raise ValueError(f"Lmax must be >= 1, got {args.L}")
     K = _slice_K(args, args.L + args.n)
     spec = _spec_of(args)
     table = count_words(spec, args.n, with_per=args.n <= 14)
@@ -259,6 +242,7 @@ def cmd_glue(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    _at_least_1("L", args.L)
     K = _slice_K(args, 24)
     spec = _spec_of(args)
     measure = measures.mu_n(spec, args.n, args.m)

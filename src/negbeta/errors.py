@@ -16,11 +16,9 @@ class AmbiguousDigit(NegBetaError):
     retry, or give up and report an exhausted status.
     """
 
-    def __init__(self, bits, index=None):
-        super().__init__(f"digit undecidable at {bits} bits"
-                         + (f" (step {index})" if index is not None else ""))
+    def __init__(self, bits):
+        super().__init__(f"digit undecidable at {bits} bits")
         self.bits = bits
-        self.index = index
 
 
 class LengthMismatch(NegBetaError):

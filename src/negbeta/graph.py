@@ -152,6 +152,8 @@ def build_graph_for_spec(spec: ShiftSpec, K: int) -> GraphSlice:
 def walk(graph: GraphSlice, w, start: int = 0) -> Optional[list[int]]:
     """Vertex sequence of the unique labelled path reading w from `start`,
     or None when some digit has no edge (the word is rejected)."""
+    if not 0 <= start <= graph.K:
+        raise ValueError(start)
     w = word(w)
     cur = start
     seq = [cur]
@@ -233,6 +235,8 @@ def path_words(graph: GraphSlice, n: int, start: int = 0,
     using only edges into vertices >= floor."""
     if n < 0:
         raise ValueError(n)
+    if not 0 <= start <= graph.K:
+        raise ValueError(start)
     if start + n > graph.K:
         raise TruncationInsufficient(
             f"length-{n} paths from V_{start} can leave the K={graph.K} slice")

@@ -8,8 +8,8 @@ Exact bases are never rounded.  `expand` on a refinable interval base
 first tries each precision with enclosures rounded outward onto a fixed
 dyadic denominator; rounding only widens an enclosure, so a digit it
 decides is the digit the exact enclosure decides (the lemma at `_orbit`).
-Only when no precision finishes does it run the exact ladder, whose
-certified prefix and exhausted status it then reports.  Interval results
+Only when no precision finishes does it run the exact orbit, once, at
+the top precision, and report its certified prefix.  Interval results
 are only reported when an enclosure determines them.  Each question
 about the orbit of 1 walks it at most once: `classify_d1` needs no cycle
 search except on an integer base, `golden_test` decides an exact base by
@@ -234,58 +234,53 @@ def step_extended(beta: BetaValue, x: UnitPoint) -> tuple[Optional[int], UnitPoi
 _ROUND_GUARD = 32
 
 
+def _refine(best: list[int], orbit: Iterator[tuple[int, int, int, int]],
+            n: int) -> list[int]:
+    """The orbit's first n digits, cut at its first ambiguous digit; they
+    must extend best, the prefix that the previous precision certified."""
+    digits: list[int] = []
+    try:
+        for d, _, _, _ in islice(orbit, n):
+            digits.append(d)
+    except AmbiguousDigit:
+        pass
+    if digits[: len(best)] != best:
+        raise AssertionError("certified digits changed under refinement")
+    return digits
+
+
 def expand(beta: BetaValue, x: UnitPoint, n: int, max_bits: int = 4096) -> CertifiedDigits:
     """First n expansion digits of x.
 
-    Rational base and point: all n digits exact.  Interval mode: on an
-    ambiguous digit the precision is doubled (re-running from the start)
-    up to max_bits; the result then records the certified prefix and an
-    exhausted status.
+    Rational base and point: all n digits exact.  A refinable interval
+    base doubles its precision from beta.bits up to max_bits, running the
+    orbit rounded outward onto 2^(bits + _ROUND_GUARD), and returns at the
+    first level that certifies all n digits (the exact digits of that
+    level, by the lemma at `_orbit`).  If none does, the exact orbit runs
+    once at the top level, and its certified prefix is reported with an
+    exhausted status.  Refiner-less intervals run only that exact orbit.
 
-    A refinable interval base first runs that ladder with enclosures
-    rounded outward onto 2^(bits + _ROUND_GUARD), and returns at the first
-    level that certifies all n digits.  By the lemma at `_orbit` the exact
-    enclosure at that level certifies the same n digits, so the answer is
-    the exact ladder's whenever every refiner interval contains one real
-    beta, the contract that the refinement assertion below also assumes.
-    If no level finishes, the exact ladder runs as before and reports the
-    certified prefix.  Exact bases and refiner-less intervals run only the
-    exact ladder.
+    Refiner intervals must be nested: refiner(2b) lies in refiner(b).
+    The argument of the lemma at `_orbit`, with the previous level's base
+    interval and grid in place of the rounded run's, shows that each run's
+    enclosures lie in the previous run's, so its certified prefix extends
+    the previous one and the exact run at the top level certifies the
+    longest prefix of the ladder.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
+    bits, best = beta.bits, []
     if beta.exact is None and beta.refiner is not None:
-        bits = beta.bits
         while True:
-            orbit = _orbit(beta.with_bits(bits), x, bits + _ROUND_GUARD)
-            try:
-                got = tuple(d for d, _, _, _ in islice(orbit, n))
-            except AmbiguousDigit:
-                pass
-            else:
-                return CertifiedDigits(got, n, ("complete",))
+            best = _refine(best, _orbit(beta.with_bits(bits), x, bits + _ROUND_GUARD), n)
+            if len(best) == n:
+                return CertifiedDigits(tuple(best), n, ("complete",))
             if bits >= max_bits:
                 break
             bits *= 2
-    bits = beta.bits
-    best: list[int] = []
-    while True:
-        digits: list[int] = []
-        try:
-            for d, _, _, _ in islice(_orbit(beta.with_bits(bits), x), n):
-                digits.append(d)
-        except AmbiguousDigit:
-            failed_at = len(digits)
-        else:
-            return CertifiedDigits(tuple(digits), n, ("complete",))
-        if digits[: len(best)] != best[: len(digits)]:
-            raise AssertionError("certified digits changed under refinement")
-        if len(digits) > len(best):
-            best = digits
-        if bits >= max_bits or beta.refiner is None:
-            return CertifiedDigits(tuple(best), len(best),
-                                   ("precision_exhausted", failed_at))
-        bits *= 2
+    got = _refine(best, _orbit(beta.with_bits(bits), x), n)
+    status = ("complete",) if len(got) == n else ("precision_exhausted", len(got))
+    return CertifiedDigits(tuple(got), len(got), status)
 
 
 @dataclass(frozen=True)

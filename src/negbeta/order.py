@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import LengthMismatch
 
@@ -112,12 +112,6 @@ class EvPeriodicSeq:
             return EvPeriodicSeq.make(self.preperiod[k:], self.period)
         r = (k - p) % len(self.period)
         return EvPeriodicSeq.make((), self.period[r:] + self.period[:r])
-
-    def digits(self) -> Iterator[int]:
-        i = 1
-        while True:
-            yield self.digit(i)
-            i += 1
 
     @property
     def max_digit(self) -> int:

@@ -222,6 +222,24 @@ def test_entropy_cutoff_below_one_exits_2(tmp_path, capsys):
         assert not (tmp_path / "e").exists()
 
 
+@pytest.mark.parametrize("verb, beta, message", [
+    ("entropy", "2", "Lmax must be >= 1, got {}"),
+    ("entropy", "golden", "Lmax must be >= 1, got {}"),
+    ("measure", "golden", "--L >= 1 required, got {}"),
+    ("measure", "2", "--L >= 1 required, got {}")])
+def test_cutoff_below_one_exits_2_before_the_spec(tmp_path, capsys, monkeypatch,
+                                                   verb, beta, message):
+    def refuse(_args):
+        raise AssertionError("the spec was built before --L was checked")
+
+    monkeypatch.setattr(cli, "_spec_of", refuse)
+    for L in ("0", "-3"):
+        assert run([verb, "--beta", beta, "--n", "6", "--L", L,
+                    "--out", tmp_path / "c"]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(L)}\n"
+        assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("verb", [
     ["entropy", "--n", "6"],
     ["glue", "--words-file", "WORDS"],

@@ -156,6 +156,20 @@ def test_path_counts_guards():
         path_count(GS, 3, 18)
 
 
+def test_walk_and_path_words_refuse_a_start_outside_the_slice():
+    g = build_graph_for_spec(GOLDEN, 6)
+    for start in (-1, -7, 7, 9):
+        with pytest.raises(ValueError, match=f"^{start}$"):
+            walk(g, (1,), start=start)
+        with pytest.raises(ValueError, match=f"^{start}$"):
+            list(path_words(g, 0, start=start))
+    with pytest.raises(ValueError, match="^-3$"):
+        list(path_words(g, 2, start=-3))
+    # both ends of 0..K stay valid
+    assert walk(g, (1,), start=0) == [0, 0]
+    assert list(path_words(g, 0, start=6)) == [()]
+
+
 def _dict_dp_counts(graph, nmax, start, floor):
     # the unfolded sparse DP over the whole slice
     vec, counts = {start: 1}, [1]

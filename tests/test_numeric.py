@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from negbeta import numeric
 from negbeta.errors import AmbiguousDigit, DomainError
 from negbeta.language import ShiftSpec
 from negbeta.numeric import (BetaValue, CertifiedDigits, D1Classification,
@@ -306,11 +307,46 @@ def test_rounded_orbit_encloses_exact_orbit(beta, x, w, n):
 @example(BetaValue.golden(64), F(1), 400, 4096)
 @example(_dyadic_beta(F(5, 2), 5), F(1), 400, 4096)
 @example(_dyadic_beta(F(5, 2), 5), F(1), 400, 16)
+@example(BetaValue.golden(16), F(1), 400, 32)
+@example(BetaValue.golden(16), F(1), 200, 32)
+@example(BetaValue.golden(24), F(2, 3), 300, 64)
+@example(_dyadic_beta(F(7, 3), 4), IntervalValue(F(1, 3), F(1, 3)), 400, 8)
 @settings(max_examples=40, deadline=None)
 def test_expand_matches_fraction_reference_at_depth(beta, x, n, max_bits):
     # deep enough to climb several precision levels; a case that
-    # exhausts runs the rounded pass and then the exact ladder
+    # exhausts runs the rounded ladder and then one exact orbit at the top
     assert expand(beta, x, n, max_bits=max_bits) == _reference_orbit(beta, x, n, max_bits)[0]
+
+
+@pytest.mark.parametrize("beta, n, max_bits, exact_runs, complete", [
+    (BetaValue.golden(16), 200, 32, [32], False),  # one exact orbit, at the top
+    (BetaValue.golden(16), 40, 32, [], True),      # a rounded level completes
+    (B13, 200, 32, [B13.bits], True),               # exact base
+    (BetaValue(lo=F(3, 2), hi=F(3, 2), bits=8), 50, 64, [8], True)])  # no refiner
+def test_expand_runs_the_exact_orbit_at_most_once(monkeypatch, beta, n, max_bits,
+                                                  exact_runs, complete):
+    runs = []
+
+    def counting(b, x, round_bits=None):
+        if round_bits is None:
+            runs.append(b.bits)
+        return _orbit(b, x, round_bits)
+
+    monkeypatch.setattr(numeric, "_orbit", counting)
+    assert expand(beta, F(1), n, max_bits=max_bits).complete == complete
+    assert runs == exact_runs
+
+
+def test_expand_refuses_a_refiner_that_is_not_nested():
+    # refiner(16) encloses 7/3, outside refiner(8) around 5/2: the digits
+    # certified at 16 bits contradict those certified at 8 bits
+    def jump(b):
+        lo = _dyadic_beta(F(5, 2) if b < 16 else F(7, 3), b).lo
+        return lo, lo + F(1, 1 << b)
+
+    beta = BetaValue(lo=jump(8)[0], hi=jump(8)[1], bits=8, refiner=jump)
+    with pytest.raises(AssertionError, match="changed under refinement"):
+        expand(beta, F(1), 100, max_bits=16)
 
 
 def test_golden_expansion_closed_form_at_2000():
