@@ -9,12 +9,12 @@ extended word.  Labelled paths from V_0 are exactly the admissible words.
 The edges come from the upper-bound track of the suffix-match automaton in
 `negbeta.language`, and `k_of` runs the same track as a plain matcher.
 
-For an eventually periodic bound the rows repeat: `language._Fold` holds
-the track's rows up to N + P - 1, certified to repeat with period P from N
-on (spine edges move up, back edges stay), and a slice copies every higher
-row from the row P below it, so building V_0..V_K runs the track a fixed
-number of times whatever K is.  A finite bound prefix has no fold; each of
-its rows comes from the track.
+For an eventually periodic bound the rows repeat: the track is folded at
+(N, P) (the lemma at `language._Track`: rows repeat with period P from N on,
+spine edges moving up), so a slice takes V_0..V_{N+P-1} from the track and
+copies every higher row from the row P below it; building V_0..V_K runs the
+track a fixed number of times whatever K is.  A finite bound prefix has no
+fold; each of its rows comes from the track.
 
 The slice stores vertices 0..K only.  Operations never extrapolate: walks
 and counts that would leave the slice raise TruncationInsufficient, even
@@ -34,7 +34,7 @@ from typing import Iterator, Optional
 
 from .errors import (PrefixTooShort, TruncationInsufficient,
                      TwoSidedUnsupported)
-from .language import (ShiftSpec, _Fold, _lex_words, _Track, follower_words,
+from .language import (ShiftSpec, _lex_words, _Track, follower_words,
                        is_admissible)
 from .order import (BoundSeq, EvPeriodicSeq, Word, _failure_table,
                     bound_len, word)
@@ -48,10 +48,12 @@ def k_of(bprefix: BoundSeq, w) -> int:
     the answer depend on unknown digits; otherwise PrefixTooShort.
     """
     w = word(w)
-    if not isinstance(bprefix, EvPeriodicSeq):
+    if isinstance(bprefix, EvPeriodicSeq):
+        bprefix = bprefix.prefix(len(w))  # no match is longer than w
+    else:
         bprefix = word(bprefix)
     track = _Track(bprefix, 0)
-    known = bound_len(bprefix)
+    known = len(bprefix)
     state = 0
     for a in w:
         if state == known:
@@ -71,11 +73,15 @@ class GraphSlice:
     K: int
     spine: Word            # b_1 .. b_{K+1}: spine[i] labels V_i -> V_{i+1}
     out: tuple             # per vertex: dict label -> target (spine from V_K omitted)
-    complete: tuple        # per vertex: all out-edges present in the slice
     alphabet: int
     # (N, P) of the bound's fold: rows >= N repeat with period P; None for
     # the slice of a finite bound prefix
     fold: Optional[tuple[int, int]] = field(default=None, compare=False)
+
+    @property
+    def complete(self) -> tuple:
+        """Per vertex: all out-edges present in the slice (all but V_K)."""
+        return tuple(i < self.K for i in range(self.K + 1))
 
     @property
     def edges(self) -> list[tuple[int, int, int]]:
@@ -92,7 +98,7 @@ class GraphSlice:
     def to_dot(self) -> str:
         lines = ["digraph slice {", "  rankdir=LR;"]
         for i in range(self.K + 1):
-            shape = "circle" if self.complete[i] else "doublecircle"
+            shape = "circle" if i < self.K else "doublecircle"
             lines.append(f'  V{i} [shape={shape}];')
         for src, dst, label in self.edges:
             lines.append(f'  V{src} -> V{dst} [label="{label}"];')
@@ -104,7 +110,7 @@ class GraphSlice:
             "K": self.K,
             "alphabet": self.alphabet,
             "spine_labels": list(self.spine),
-            "complete": [bool(c) for c in self.complete],
+            "complete": list(self.complete),
             "edges": [{"src": s, "dst": d, "label": l} for s, d, l in self.edges],
         }
 
@@ -119,27 +125,20 @@ def build_graph(b: BoundSeq, K: int) -> GraphSlice:
     avail = bound_len(b)
     if avail < K + 2:
         raise PrefixTooShort(f"need {K + 2} digits, have {avail}")
-    if isinstance(b, EvPeriodicSeq):
-        pre, per = b.preperiod, b.period
-        spine = (pre + per * ((K + 1) // len(per) + 1))[: K + 1]
-        fold = _Fold.of(b)
-        rows, P, folded = fold.rows, fold.P, (fold.N, fold.P)
+    track = _Track(b, 1)
+    if track.finite:
+        spine, fold, top = tuple(b[: K + 1]), None, K + 1
     else:
-        spine = tuple(b[: K + 1])
-        track = _Track(spine, 1)
-        rows, P, folded = [track.row(i, spine[0]) for i in range(K + 1)], None, None
+        spine, fold, top = b.prefix(K + 1), (track.N, track.P), track.N + track.P
     out: list[dict[int, int]] = []
     for i in range(K + 1):
-        if i < len(rows):
-            row = dict(rows[i])
-        else:
-            row = dict(out[i - P])
-            row[spine[i]] = i + 1
+        # the track's row of N + P - 1 sends its spine to the folded N
+        row = track.row(i, spine[0]) if i < top else dict(out[i - track.P])
+        row[spine[i]] = i + 1
         if i == K:
             del row[spine[i]]  # the spine edge from V_K leaves the slice
         out.append(row)
-    complete = tuple(i < K for i in range(K + 1))
-    return GraphSlice(K, spine, tuple(out), complete, spine[0], folded)
+    return GraphSlice(K, spine, tuple(out), spine[0], fold)
 
 
 def build_graph_for_spec(spec: ShiftSpec, K: int) -> GraphSlice:
@@ -161,7 +160,7 @@ def walk(graph: GraphSlice, w, start: int = 0) -> Optional[list[int]]:
         table = graph.out[cur]
         if a in table:
             cur = table[a]
-        elif not graph.complete[cur] and a == graph.spine_label(cur):
+        elif cur == graph.K and a == graph.spine_label(cur):
             raise TruncationInsufficient(
                 f"walk leaves the slice at V_{cur} on digit {a}")
         else:
@@ -195,7 +194,7 @@ def path_counts(graph: GraphSlice, nmax: int, start: int = 0,
     """
     if nmax < 0:
         raise ValueError(nmax)
-    if start < 0:
+    if not 0 <= start <= graph.K:
         raise ValueError(start)
     if start + nmax > graph.K:
         raise TruncationInsufficient(
@@ -240,7 +239,7 @@ def path_words(graph: GraphSlice, n: int, start: int = 0,
     if start + n > graph.K:
         raise TruncationInsufficient(
             f"length-{n} paths from V_{start} can leave the K={graph.K} slice")
-    yield from _lex_words(start, n, lambda v: [
+    return _lex_words(start, n, lambda v: [
         (label, t) for label, t in sorted(graph.out[v].items()) if t >= floor])
 
 

@@ -10,11 +10,13 @@ within bounds.
 Membership, enumeration, counting, follower sets, mixing searches,
 periodic blocks and eventually periodic points all run on one suffix-match
 automaton whose state is the pair of longest suffix ties with the upper and
-lower bound prefixes.  Its reader (`_Automaton.read`) decides a word from
-any state as "yes", "no" or, when a suffix ties the whole of a finite
-upper prefix and runs past it, "undetermined"; a periodic point is read
-through it until the state at a block boundary repeats.  The graph layer
-reuses its upper-bound track: its vertex V_k is the upper match length k.
+lower bound prefixes.  It is finite: an eventually periodic bound's track
+is folded (the lemma at `_Track`), and a finite prefix's ends at its
+length.  Its reader (`_Automaton.read`) decides a word from any state as
+"yes", "no" or, when a suffix ties the whole of a finite upper prefix and
+runs past it, "undetermined"; a periodic point is read through it until
+the state at a block boundary repeats.  The graph layer reuses its
+upper-bound track: its vertex V_k is the upper match length k.
 
 The period-n blocks form rotation classes, so they are walked by necklace:
 the admissible prenecklaces are grown in lexicographic order
@@ -144,39 +146,89 @@ class _Track:
     sign that breaks the bound: +1 for an upper bound, -1 for a lower
     bound, 0 for plain matching.  An upper bound must dominate its shifts
     (as every spec's upper bound does): then a digit that extends some tie
-    breaks none of the shorter ones.  The digits of a periodic bound and
-    the failure table reach only as far as the ties do, growing on
-    demand; results are memoised per instance.
+    breaks none of the shorter ones; a lower bound's digit extends a tie
+    only when no shorter tie refuses it.  Results are memoised per instance.
+
+    A finite prefix keeps raw match lengths.  An eventually periodic bound
+    b = pre per^inf is folded at (N, P): the track keeps the first N + P
+    digits and returns N wherever the match length would be N + P, so its
+    states are 0 .. N + P - 1.  By the lemma, rows k and k + P agree for
+    k >= N but for the spine edge (digit b_{k+1} -> k + 1), moved up by P.
+
+    Lemma.  Let q = |per|, P = q, or 2q when q is odd (the order reads the
+    parity of a position), and f(k) the longest proper border of
+    b_1 .. b_k.  For either sense, row k refuses a digit a != b_{k+1} on
+    the breaking side of b_{k+1} at position k + 1, sends any other
+    a != b_{k+1} where row f(k) does (to 0 from k = 0), and sends b_{k+1}
+    to k + 1, for a lower bound only when row f(k) accepts b_{k+1} (or
+    k = 0).  f(k + 1) is the plain match length after reading b_{k+1} from
+    f(k).  For k >= |pre|, b_{k+1} and the parity of k + 1 repeat at
+    k + P.  Hence, if N >= |pre| + q and
+      (a) f(N + P) = f(N): then f(k + P) = f(k) for every k >= N by
+          induction, so rows k and k + P read the same row f(k), the
+          acceptance of a lower bound's spine included; or
+      (b) f(N) = N - q: then f(k) = k - q for every k >= N, since
+          b_{k-q+1} = b_{k+1} keeps extending the border.  A lower bound's
+          spine at k is accepted exactly when row k - q accepts the same
+          digit, its own spine, so acceptance is q-periodic.  For even q,
+          positions k + 1 and k + q + 1 have the same parity, so a digit
+          a != b_{k+1} is refused at k + q exactly when at k, and is
+          otherwise sent where row f(k + q) = k sends it.  For odd q,
+          positions k + 1 and k - q + 1 have opposite parities, so such a
+          digit lies on the breaking side at exactly one of them: row k
+          refuses it, or row k - q does and row k sends it where row
+          f(k) = k - q does, nowhere.  Rows >= N hold the spine alone.
+    Either way the back edges from rows >= N are those of rows N .. N+P-1.
+    They target no vertex above |pre| + P: a back edge of row k goes to at
+    most f(k) + 1; in (a), which needs pre nonempty, f repeats and is below
+    |pre| + q for large k (a longer border would make b_1 .. b_k q-periodic
+    across the end of pre, against its minimality); (b) makes b_1 .. b_N
+    q-periodic, so pre is empty, and every border that decides a back edge
+    is shorter than q.
+
+    The constructor starts from N = |pre| + P + 2 and checks (a) or (b) on
+    the failure table of the first N + P digits.  On a few bounds whose
+    prefix repeats a short period past |pre| (such as 2111112(1)^inf)
+    neither holds there and N moves up by P; one of them holds once
+    N >= 2|pre| + 2q, where f(k) depends only on k mod q (or, for a purely
+    periodic bound, equals k - q).
     """
 
     def __init__(self, bound: BoundSeq, sense: int):
-        self.bound = bound
         self.sense = sense
         self.finite = not isinstance(bound, EvPeriodicSeq)
-        self.known = len(bound) if self.finite else math.inf
-        self.digits = list(bound) if self.finite else []
-        self.fail = [0]
         self.memo: dict[int, dict[int, Optional[int]]] = {}  # a -> k -> answer
+        if self.finite:
+            self.N = self.P = None
+            self.known, self.digits, self.wrap = len(bound), list(bound), {}
+            self.fail = [0]
+            return
+        q = len(bound.period)
+        P = q if q % 2 == 0 else 2 * q
+        N = len(bound.preperiod) + P + 2
+        fail = _failure_table(bound.prefix(N + P))
+        while not (fail[N + P] == fail[N] or fail[N] == N - q):
+            N += P
+            fail = _failure_table(bound.prefix(N + P))
+        self.N, self.P, self.known, self.fail = N, P, math.inf, fail
+        self.digits, self.wrap = list(bound.prefix(N + P)), {N + P: N}
 
     def border(self, k: int) -> int:
         """fail[k], the longest proper border of the tie b_1 .. b_k."""
         if k >= len(self.fail):
-            # a fourfold step rebuilds less than doubling would when ties
-            # climb one digit at a time (the rows of a fold or of a finite
-            # prefix's graph slice), and stays short for the few-digit ties
-            # of a membership test
+            # a finite prefix's table grows on demand: a fourfold step
+            # rebuilds less than doubling would when ties climb one digit at
+            # a time (the rows of its graph slice), and stays short for the
+            # few-digit ties of a membership test
             self.fail = _failure_table(self.digits[: 4 * k + 4])
         return self.fail[k]
 
     def advance(self, k: int, a: int) -> Optional[int]:
-        """The match length after appending digit a, or None when a breaks
-        the bound at a live tie."""
+        """The state after appending digit a, or None when a breaks the
+        bound at a live tie."""
         digits = self.digits
         if k >= len(digits):
-            if self.finite:
-                raise SpecPrefixTooShort(f"upper bound needed at index {k + 1}")
-            pre, per = self.bound.preperiod, self.bound.period
-            digits = self.digits = list(pre + per * (2 * k // len(per) + 2))
+            raise SpecPrefixTooShort(f"upper bound needed at index {k + 1}")
         sense = self.sense
         # Walk down the chain to a tie that decides; every tie passed on the
         # way (no violation, and no match for upper bounds) shares its answer.
@@ -201,10 +253,10 @@ class _Track:
             if got is not None and digits[k] == a:
                 got = k + 1  # the longest tie of a lower bound that a extends
             memo[k] = got
-        return got
+        return self.wrap.get(got, got)
 
     def row(self, k: int, alphabet: int) -> dict[int, int]:
-        """The out-row of match length k: accepted digit -> next length."""
+        """The out-row of state k: accepted digit -> next state."""
         row = {}
         for a in range(1, alphabet + 1):
             j = self.advance(k, a)
@@ -213,69 +265,13 @@ class _Track:
         return row
 
 
-@dataclass(frozen=True)
-class _Fold:
-    """The out-rows of the upper-bound track of an eventually periodic
-    bound b = pre per^inf, stored up to the point where they repeat.
-
-    Let q = |per| and P = q, or 2q when q is odd (the order reads the parity
-    of a position).  `rows` holds the rows of match lengths 0 .. N + P - 1,
-    and every higher row is the row P below it with only its spine edge
-    (digit b_{k+1} -> k + 1) moved up by P.
-
-    Lemma.  Write f(k) for the longest proper border of b_1 .. b_k.  The
-    track's row of k is the spine edge, the digits on the breaking side of
-    b_{k+1} at position k + 1 refused, and every other digit a sent where
-    the row of f(k) sends it; and f(k + 1) is the plain match length after
-    reading b_{k+1} from f(k).  For k >= |pre| the digit b_{k+1} and the
-    parity of k + 1 repeat at k + P.  Hence, if N >= |pre| + q and
-      (a) f(N + P) = f(N): then f(k + P) = f(k) for every k >= N by
-          induction, so row k + P is row k with the spine moved by P; or
-      (b) f(N) = N - q: then f(k) = k - q for every k >= N, since
-          b_{k-q+1} = b_{k+1} keeps extending the border; a digit other than
-          b_{k+1} is sent where row k - q sends it when q is even (same
-          digit, same parity), so the back edges of k + q are those of k,
-          and is refused at k or at k - q when q is odd (same digit,
-          opposite parity), so those rows are spine edges alone.
-    Either way the back edges from rows >= N are those of rows N .. N+P-1.
-    They target no vertex above |pre| + P: a back edge of row k goes to at
-    most f(k) + 1; in (a), which needs pre nonempty, f repeats and is below
-    |pre| + q for large k (a longer border would make b_1 .. b_k q-periodic
-    across the end of pre, against its minimality); (b) makes b_1 .. b_N
-    q-periodic, so pre is empty, and every border that decides a back edge
-    is shorter than q.
-
-    `of` starts from N = |pre| + P + 2 and checks (a) or (b) on the failure
-    table of the first N + P digits.  On a few bounds whose prefix repeats
-    a short period past |pre| (such as 2111112(1)^inf) neither holds there
-    and N moves up by P; one of them holds once N >= 2|pre| + 2q, where f(k)
-    depends only on k mod q (or, for a purely periodic bound, equals k - q).
-    """
-
-    N: int
-    P: int
-    rows: tuple  # dict digit -> next match length, for 0 .. N + P - 1
-
-    @staticmethod
-    def of(bound: EvPeriodicSeq) -> "_Fold":
-        q = len(bound.period)
-        P = q if q % 2 == 0 else 2 * q
-        N = len(bound.preperiod) + P + 2
-        fail = _failure_table(bound.prefix(N + P))
-        while not (fail[N + P] == fail[N] or fail[N] == N - q):
-            N += P
-            fail = _failure_table(bound.prefix(N + P))
-        track = _Track(bound, 1)
-        alphabet = bound.digit(1)
-        return _Fold(N, P, tuple(track.row(k, alphabet) for k in range(N + P)))
-
-
 class _Automaton:
     """The suffix-match automaton of a shift.
 
-    A state is the pair (upper match length, lower match length); the
-    lower one stays 0 for one-sided shifts.  `_next` steps both tracks by
-    one digit; the transitions out of a state are built from it for the
+    A state is the pair of the tracks' states (upper, lower); the lower one
+    stays 0 for one-sided shifts.  A periodic bound's track has N + P
+    states, so there are at most their product.  `_next` steps both tracks
+    by one digit; the transitions out of a state are built from it for the
     whole alphabet at the state's first visit and memoised per instance.
     """
 
@@ -481,26 +477,19 @@ def _point_ok(aut: _Automaton, head: Word, block: Word,
     """Exact membership of the point head block^inf, read digit by digit
     through the automaton up to the first broken bound.
 
-    It lies in the shift once the state at a block boundary repeats (the
-    run from there repeats one already read) or once every shift of the
-    point has been compared with every bound, to a decision or to a tie
-    of a whole common period.  A caller that has already read the block
-    (with an empty head) from the start state passes the state it reached
-    as `resume`, and reading goes on from there.
+    It lies in the shift once the state at a block boundary repeats: the
+    run from there repeats one already read.  The automaton has finitely
+    many states (a periodic bound's track is folded, a finite prefix's
+    stops at its length), so that always happens.  A caller that has
+    already read the block (with an empty head) from the start state passes
+    the state it reached as `resume`, and reading goes on from there.
     """
-    n = len(block)
-    horizon = len(head) + n - 1 + max(
-        # a finite prefix needs one digit past its end to show a whole tie
-        t.known + 1 if t.finite
-        else len(t.bound.preperiod) + math.lcm(n, len(t.bound.period))
-        for t in (aut.upper, aut.lower) if t is not None)
     step, state, read = aut.step, aut.start, 0
     seen = set()
     try:
         if resume is not None:
-            # the horizon is at least n, so the first block never reaches it
             seen.add(state)
-            state, read = resume, n
+            state, read = resume, len(block)
         for a in head:
             state = step(state, a)
             if state is None:
@@ -509,8 +498,6 @@ def _point_ok(aut: _Automaton, head: Word, block: Word,
         while state not in seen:
             seen.add(state)
             for a in block:
-                if read >= horizon:
-                    return True
                 state = step(state, a)
                 if state is None:
                     return False

@@ -101,7 +101,7 @@ class EvPeriodicSeq:
         return self.period[(i - 1 - p) % len(self.period)]
 
     def prefix(self, n: int) -> Word:
-        return tuple(self.digit(i) for i in range(1, n + 1))
+        return (self.preperiod + self.period * (n // len(self.period) + 1))[: max(n, 0)]
 
     def shift(self, k: int) -> "EvPeriodicSeq":
         """Drop the first k digits."""

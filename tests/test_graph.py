@@ -14,8 +14,8 @@ from negbeta.graph import (build_graph, build_graph_for_spec,
                            follower_equiv_check, gap_scan, k_of,
                            parse_bound_file, path_count, path_counts,
                            path_words, shortest_path_to_v0, walk)
-from negbeta.language import (ShiftSpec, _Fold, _Track, count_words,
-                              enumerate_words, iter_words)
+from negbeta.language import (ShiftSpec, _Track, count_words,
+                              derived_lower_bound, enumerate_words, iter_words)
 from negbeta.numeric import BetaValue
 from negbeta.order import EvPeriodicSeq, is_alt_shift_maximal, word
 
@@ -165,6 +165,11 @@ def test_walk_and_path_words_refuse_a_start_outside_the_slice():
             list(path_words(g, 0, start=start))
     with pytest.raises(ValueError, match="^-3$"):
         list(path_words(g, 2, start=-3))
+    # checked at the call, before any word is read
+    for start in (-1, 7, 9):
+        for call in (path_words, path_counts, path_count):
+            with pytest.raises(ValueError, match=f"^{start}$"):
+                call(g, 0, start=start)
     # both ends of 0..K stay valid
     assert walk(g, (1,), start=0) == [0, 0]
     assert list(path_words(g, 0, start=6)) == [()]
@@ -352,6 +357,20 @@ def _fold_shape(b):
     return len(b.preperiod) + P + 2, P
 
 
+def _odd_periodic_uppers(count, seed):
+    # purely periodic bounds of odd period whose last digit exceeds 1, the
+    # uppers of two-sided specs: alphabet 2-5, period 1-7
+    rng = random.Random(seed)
+    bounds = []
+    while len(bounds) < count:
+        a = rng.randint(2, 5)
+        b = EvPeriodicSeq.make((), [a] + [rng.randint(1, a) for _ in range(rng.randint(0, 6))])
+        if (len(b.period) % 2 and b.period[-1] > 1
+                and is_alt_shift_maximal(b).status == "yes"):
+            bounds.append(b)
+    return bounds
+
+
 def test_fold_rows_repeat_past_N():
     for b in FOLD_BOUNDS:
         N, P = _fold(b)
@@ -365,12 +384,25 @@ def test_fold_rows_repeat_past_N():
             assert out[i + P] == {**out[i], spine: i + P + 1}
             assert all(t <= len(b.preperiod) + P
                        for a, t in out[i].items() if a != spine)
+    # a derived lower bound's folded track is the quotient of the unfolded
+    # one by k ~ k + P from N on
+    for upper in _odd_periodic_uppers(100, 20261019):
+        b, alphabet = derived_lower_bound(upper), upper.digit(1)
+        track, raw = _Track(b, -1), _Track(b.prefix(300), -1)
+        (N, P), (N0, P0) = (track.N, track.P), _fold_shape(b)
+        assert P == P0 and N >= N0 and (N - N0) % P == 0
+
+        def fold(k):
+            return k if k < N + P else N + (k - N) % P
+
+        for i in range(300):
+            want = {a: fold(t) for a, t in raw.row(i, alphabet).items()}
+            assert track.row(fold(i), alphabet) == want
 
 
 def _fold(b):
-    fold = _Fold.of(b)
-    assert len(fold.rows) == fold.N + fold.P
-    return fold.N, fold.P
+    track = _Track(b, 1)
+    return track.N, track.P
 
 
 def test_build_graph_matches_per_vertex_build():

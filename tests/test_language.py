@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from negbeta import oracle
+from negbeta import language, oracle
 from negbeta.errors import HorizonExhausted, NotOddPeriodic, SpecPrefixTooShort
 from negbeta.graph import build_graph_for_spec, k_of, path_count, path_words
 from negbeta.language import (CountTable, ShiftSpec, count_words,
@@ -166,6 +166,31 @@ def test_count_table_and_entropy_profile():
     csv_text = table.to_csv()
     assert csv_text.splitlines()[0] == "n,count_L,count_Per,exact"
     assert csv_text.splitlines()[1] == "1,2,2,1"
+
+
+def test_automaton_states_stop_growing_with_n(monkeypatch):
+    built = []
+
+    class Recorded(language._Automaton):
+        def __init__(self, spec):
+            super().__init__(spec)
+            built.append(self)
+
+    monkeypatch.setattr(language, "_Automaton", Recorded)
+    fib = [0, 1]
+    while len(fib) < 1004:
+        fib.append(fib[-1] + fib[-2])
+    two = ShiftSpec.from_beta(BetaValue.from_rational(2))
+    for spec in (GOLDEN, FIG, two):
+        counts = count_words(spec, 1000).rows
+        count_words(spec, 200)
+        states = [set(aut._moves) for aut in built[-2:]]
+        assert states[0] == states[1]
+        aut = built[-1]
+        tracks = [t for t in (aut.upper, aut.lower) if t is not None]
+        assert len(states[0]) <= math.prod(t.N + t.P for t in tracks)
+        if spec is GOLDEN:
+            assert counts[-1]["count_words"] == fib[1003] - 1
 
 
 def test_entropy_profile_trivial_rows():
