@@ -10,12 +10,17 @@ default=str) plus a newline; every scalar and key is written by the
 stdlib's C encoder.
 
 Exit codes: 2 invalid input, 3 truncation, precision exhausted or an
-enumeration over its cap, 4 verification failure.
+enumeration over its cap, 4 verification failure.  A refusal for a bound
+prefix too short also names how many digits it has and how to get more.
+
+In-process calls of `main` share one argument parser, built at the first
+call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -135,15 +140,33 @@ def _beta_of(args) -> BetaValue:
     return BetaValue.parse(args.beta, bits=args.precision_bits)
 
 
+def _bound_of_file(args):
+    return graphmod.parse_bound_file(Path(args.b_file).read_text())
+
+
+def _prefix_len(args) -> int:
+    """Digits of the bound prefix of a --beta whose expansion of 1 shows no
+    cycle within --horizon."""
+    return max(args.horizon, 64)
+
+
 def _spec_of(args) -> ShiftSpec:
     if getattr(args, "b_file", None):
-        bound = graphmod.parse_bound_file(Path(args.b_file).read_text())
-        return ShiftSpec.make(bound)
+        return ShiftSpec.make(_bound_of_file(args))
     beta = _beta_of(args)
     if beta.label == "golden":
         return ShiftSpec.golden()
     return ShiftSpec.from_beta(beta, horizon=args.horizon,
-                               prefix_len=max(args.horizon, 64))
+                               prefix_len=_prefix_len(args))
+
+
+def _prefix_hint(args) -> str:
+    """How many digits a finite bound prefix has, and how to get more."""
+    if getattr(args, "b_file", None):
+        return (f"the bound file gives {len(_bound_of_file(args))} digits; "
+                "add digits to the file for more")
+    return (f"{_prefix_len(args)} bound digits are certified, the larger of "
+            "--horizon and 64; raise --horizon for more")
 
 
 def _at_least_1(option: str, value) -> None:
@@ -361,13 +384,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built lazily, not at import: a fresh import of the package stays cheap
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _TRUNCATION as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        hint = (f" ({_prefix_hint(args)})"
+                if isinstance(exc, SpecPrefixTooShort) else "")
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 3
     except (VerificationFailure, GlueFailed, NoLFound) as exc:
         print(f"error: {exc}", file=sys.stderr)

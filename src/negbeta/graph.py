@@ -24,7 +24,8 @@ which `path_count`, the excursion counts of `negbeta.decomposition` and its
 each length costs work in proportion to the fold, not the slice; on a slice
 with a fold that period is found among a window of rows whose length does
 not grow with n.  `path_words` walks the same edges, with the same floor,
-to list the words those counts count.
+to list the words those counts count.  `gap_scan` on a slice with a fold
+reads only the rows below N + P + n, n being its drop bound.
 """
 
 from __future__ import annotations
@@ -293,10 +294,21 @@ def gap_scan(graph: GraphSlice, N: int) -> Optional[int]:
 
     The answer is certified only within the slice; higher vertices are not
     inspected.
+
+    On a slice with a fold (N_f, P) only the rows below N_f + P + N are
+    read.  `build_graph` makes every row i >= N_f + P a copy of row i - P
+    with its spine entry set to i + 1 (b_{i+1} = b_{i-P+1} there), so every
+    non-spine target of row i is a non-spine target of a row below
+    N_f + P.  A non-spine edge falls back to a match no longer than its own
+    row, so that target is below N_f + P.  Hence a source at N_f + P + N or
+    above drops by more than N on every non-spine edge and climbs by one on
+    its spine edge: it cannot violate.  A slice without a fold scans every
+    row.
     """
     if N < 1:
         raise ValueError("N >= 1 required")
-    violators = [src for src, table in enumerate(graph.out)
+    rows = graph.out if graph.fold is None else graph.out[: sum(graph.fold) + N]
+    violators = [src for src, table in enumerate(rows)
                  for dst in table.values() if 0 <= src - dst <= N]
     if not violators:
         return 0

@@ -1,5 +1,7 @@
 import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -266,3 +268,117 @@ def test_factor_depth_over_enumeration_cap(tmp_path, capsys):
     assert time.perf_counter() - start < 30
     err = capsys.readouterr().err
     assert "enumeration cap" in err and "Traceback" not in err
+
+
+def test_prefix_too_short_names_the_certified_digits(tmp_path, capsys):
+    # the library's message, then how many digits the prefix has and how
+    # to get more
+    for horizon, have in ((None, 256), ("10", 64), ("300", 300)):
+        extra = [] if horizon is None else ["--horizon", horizon]
+        assert run(["factor", "--beta", "13/10", "--depth", "1100", *extra,
+                    "--out", tmp_path / "f"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: upper bound needed at index {have + 1} ({have} bound "
+            "digits are certified, the larger of --horizon and 64; raise "
+            "--horizon for more)\n")
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("2 1 1 2 1 1 2\n")
+    assert run(["factor", "--beta", "13/10", "--b-file", bfile, "--depth", "20",
+                "--out", tmp_path / "f"]) == 3
+    assert capsys.readouterr().err == (
+        "error: upper bound needed at index 8 (the bound file gives 7 digits; "
+        "add digits to the file for more)\n")
+
+
+README_EXAMPLES = [
+    "expand  --beta 13/10 --n 30",
+    "graph   --beta golden --K 12 --format dot",
+    "graph   --b-file bound.txt --K 10",
+    "entropy --beta golden --n 14 --epsilon 0.3",
+    "glue    --beta golden --L 2 --M 4 --words-file words.txt",
+    "measure --beta golden --n 12 --m 4 --L 2",
+    "factor  --beta 2 --depth 12",
+]
+
+
+def _readme_argvs(tmp_path):
+    (tmp_path / "bound.txt").write_text("| 3 2 3 2 1 3 3\n")
+    (tmp_path / "words.txt").write_text("2\n21\n112\n")
+    return [[str(tmp_path / a) if a.endswith(".txt") else a for a in line.split()]
+            for line in README_EXAMPLES]
+
+
+def _workload_argvs(tmp_path):
+    # every CLI job of the benchmark's three workloads, at two seeds
+    import negbeta
+    import negbeta.oracle  # the workloads' references read it
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    argvs = []
+    for seed in (11, 12):
+        for name, make in sorted(WORKLOADS.items()):
+            tmp = tmp_path / f"{name}-{seed}"
+            tmp.mkdir()
+            argvs += [job.argv for job in make(negbeta, seed, tmp).jobs
+                      if job.argv is not None]
+    return argvs
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, fresh_parser):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in _readme_argvs(tmp_path) * 2:
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert len(built) == 1
+    # the public builder still returns a new parser on each call
+    assert build() is not build()
+
+
+def test_shared_parser_parses_as_a_fresh_one(tmp_path, fresh_parser):
+    argvs = _readme_argvs(tmp_path) + _workload_argvs(tmp_path)
+    assert len(argvs) > 80
+    for argv in argvs:
+        argv = argv + ["--out", str(tmp_path / "out")]
+        assert vars(cli._parser().parse_args(argv)) == \
+            vars(cli.build_parser().parse_args(argv))
+
+
+def _outcome(argv, out, capsys):
+    code = main(argv + ["--out", str(out)])
+    files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+    return code, files, capsys.readouterr()
+
+
+def test_failed_parse_leaves_the_next_call_unchanged(tmp_path, capsys,
+                                                     fresh_parser):
+    runs = [["expand", "--beta", "13/10", "--n", "20"],
+            ["graph", "--beta", "golden", "--K", "12", "--format", "json"],
+            ["factor", "--beta", "13/10", "--depth", "1100"]]
+    firsts = []
+    for i, argv in enumerate(runs):
+        cli._parser.cache_clear()
+        firsts.append(_outcome(argv, tmp_path / f"o{i}", capsys))
+    assert [code for code, _, _ in firsts] == [0, 0, 3]
+    for bad in (["expand", "--beta", "2", "--n", "x"], ["nonesuch"],
+                ["--help"], ["graph", "--help"]):
+        with pytest.raises(SystemExit):
+            main(bad)
+        capsys.readouterr()
+        for i, argv in enumerate(runs):
+            assert _outcome(argv, tmp_path / f"o{i}", capsys) == firsts[i]

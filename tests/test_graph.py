@@ -417,6 +417,30 @@ def test_build_graph_matches_per_vertex_build():
     assert build_graph(word("3232133"), 5).fold is None
 
 
+def _full_gap_scan(g, n):
+    # every row of the slice, as for a slice without a fold
+    violators = [src for src, table in enumerate(g.out)
+                 for dst in table.values() if 0 <= src - dst <= n]
+    if not violators:
+        return 0
+    L = max(violators) + 1
+    return L if L <= g.K else None
+
+
+def test_gap_scan_on_fold_matches_full_scan():
+    for b in FOLD_BOUNDS:
+        N, P = _fold(b)
+        edges = {N + P + d for d in (-1, 0, 1, 2, 3, 4, 7, 8)}
+        for K in sorted({0, 1, 2, 3, 5, 8, 13, 40, 200, 2000} | edges):
+            g = build_graph(b, K)
+            for n in (1, 2, 3, 4, 7):
+                assert gap_scan(g, n) == _full_gap_scan(g, n), (b, K, n)
+    g = build_graph(word("3232133") * 30, 200)
+    assert g.fold is None
+    assert [gap_scan(g, n) for n in (1, 2, 3, 4, 7)] == \
+        [_full_gap_scan(g, n) for n in (1, 2, 3, 4, 7)]
+
+
 def test_walk_on_copied_rows_matches_oracle():
     few = [GOLDEN.upper, RAISED_N[0]] + [b for b in FOLD_BOUNDS if b.digit(1) <= 3][:3]
     for b in few:
