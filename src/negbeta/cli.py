@@ -26,7 +26,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii as _quote
+from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import decomposition, factors, graph as graphmod, language, measures
@@ -55,24 +55,26 @@ def _config_of(args: argparse.Namespace) -> dict:
 
 _CONTAINERS = (dict, list, tuple)
 _INDENT = "  "
-# one compact C encoder per item separator "," + newline + indent; the
-# stdlib's indent= option would drop to its pure-Python encoder instead
+# one compact C encoder per item separator "," + newline + indent, built
+# once: JSONEncoder.encode would build a new one on every call, and the
+# stdlib's indent= option would drop to its pure-Python encoder instead.
+# No circular check (markers None): the documents are trees.
 _C_ENCODERS: dict = {}
 
 
-def _c_encode(pad: str):
+def _c_encode(o, pad: str) -> str:
     enc = _C_ENCODERS.get(pad)
     if enc is None:
-        enc = _C_ENCODERS[pad] = json.JSONEncoder(
-            separators=("," + pad, ": "), sort_keys=True, default=str).encode
-    return enc
+        enc = _C_ENCODERS[pad] = c_make_encoder(
+            None, str, _quote, None, ": ", "," + pad, True, False, True)
+    return "".join(enc(o, 0))
 
 
 def _key(k) -> str:
     if isinstance(k, str):
         return _quote(k)
     if k is None or isinstance(k, (int, float)):
-        return '"' + _c_encode("")(k) + '"'
+        return '"' + _c_encode(k, "") + '"'
     # json.dumps refuses other key types; the encoder would write a tuple
     raise TypeError(
         f"keys must be str, int, float, bool or None, not {type(k).__name__}")
@@ -94,21 +96,21 @@ def _dumps(o, nl: str = "\n") -> str:
     rows, where one replace moves the braces onto their own lines.
     """
     if not isinstance(o, _CONTAINERS):
-        return _c_encode(nl)(o)
+        return _c_encode(o, nl)
     if not o:
         return "{}" if isinstance(o, dict) else "[]"
     inner = nl + _INDENT
     if isinstance(o, dict):
         if _scalars(o.values()):
-            return "{" + inner + _c_encode(inner)(o)[1:-1] + nl + "}"
+            return "{" + inner + _c_encode(o, inner)[1:-1] + nl + "}"
         body = [_key(k) + ": " + _dumps(v, inner) for k, v in sorted(o.items())]
         return "{" + inner + ("," + inner).join(body) + nl + "}"
     if _scalars(o):
-        return "[" + inner + _c_encode(inner)(o)[1:-1] + nl + "]"
+        return "[" + inner + _c_encode(o, inner)[1:-1] + nl + "]"
     if (all(map(isinstance, o, repeat(dict))) and all(o)
             and _scalars(chain.from_iterable(map(dict.values, o)))):
         field = inner + _INDENT
-        rows = _c_encode(field)(o)[2:-2].replace(
+        rows = _c_encode(o, field)[2:-2].replace(
             "}," + field + "{", inner + "}," + inner + "{" + field)
         return "[" + inner + "{" + field + rows + inner + "}" + nl + "]"
     return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in o]) + nl + "]"

@@ -187,7 +187,7 @@ def t_gap(graph: GraphSlice, M: int, L: int) -> int:
         raise ValueError("M >= 0 and L >= 1 required")
     if M + L - 1 > graph.K:
         raise TruncationInsufficient("M + L - 1 exceeds the slice")
-    dist = _dist_to_v0(graph)[: M + L]
+    dist = _dist_to_v0(graph, M + L)[: M + L]
     if None in dist:
         raise TruncationInsufficient(
             f"no path from V_{dist.index(None)} to V_0 inside the K={graph.K} slice")

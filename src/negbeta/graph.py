@@ -20,17 +20,23 @@ The slice stores vertices 0..K only.  Operations never extrapolate: walks
 and counts that would leave the slice raise TruncationInsufficient, even
 where the fold would say what lies beyond.  Path counts (`path_counts`,
 which `path_count`, the excursion counts of `negbeta.decomposition` and its
-`bound_check` share) run on the slice folded at its verified period, so
-each length costs work in proportion to the fold, not the slice; on a slice
-with a fold that period is found among a window of rows whose length does
-not grow with n.  `path_words` walks the same edges, with the same floor,
-to list the words those counts count.  `gap_scan` on a slice with a fold
-reads only the rows below N + P + n, n being its drop bound.
+`bound_check` share) run on the slice folded at its verified period; on a
+slice with a fold that period is found among a window of rows whose length
+does not grow with n.  The first 2·size counts come from a DP on the
+folded graph of `size` vertices, and the rest from a linear recurrence
+that an exact integer check certifies, so a long sweep costs one sum of at
+most `size` products per length.  `path_words` walks the same edges, with
+the same floor, to list the words those counts count.  On a slice with a
+fold, `gap_scan` reads only the rows below N + n, n being its drop bound,
+and distances back to V_0 (`shortest_path_to_v0`, `decomposition.t_gap`)
+come from a search over a window of vertices set by the fold and the
+highest vertex asked about, not by K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterator, Optional
 
 from .errors import (PrefixTooShort, TruncationInsufficient,
@@ -192,6 +198,17 @@ def path_counts(graph: GraphSlice, nmax: int, start: int = 0,
     found there is at most c + P, and its period p holds on at least c + 2P
     of those P-periodic rows, which is p + P or more: by Fine-Wilf the rows
     from c on also have period gcd(p, P), so p holds on every later row.
+
+    The counts are 1^T A^n e_start for the size x size matrix A of the
+    folded graph, so by Cayley-Hamilton they satisfy a linear recurrence
+    of order at most size over the integers.  The DP runs for the first
+    2·size lengths; a recurrence of order d <= size that `_recurrence`
+    checks on those 2·size + 1 exact counts then generates every later
+    count (Massey 1969, "Shift-register synthesis and BCH decoding"): its
+    residual t_k = counts[k] - sum of q times the d counts before it obeys
+    the order-size recurrence of the counts from k = d + size on, and is
+    zero for k = d .. d + size - 1, hence zero for every k >= d.  Without
+    such a recurrence the DP goes on to nmax.
     """
     if nmax < 0:
         raise ValueError(nmax)
@@ -219,7 +236,12 @@ def path_counts(graph: GraphSlice, nmax: int, start: int = 0,
            for v, row in enumerate(rows[:size])]
     vec = {start if start < size else j0 + (start - j0) % (ell - f): 1}
     counts = [1]
-    for _ in range(nmax):
+    for k in range(1, nmax + 1):
+        if k == 2 * size + 1 and (q := _recurrence(counts, size)) is not None:
+            d = len(q)
+            for j in range(k, nmax + 1):
+                counts.append(sum(map(mul, q, counts[j - d:j])))
+            break
         nxt: dict[int, int] = {}
         for v, c in vec.items():
             for dst in adj[v]:
@@ -227,6 +249,50 @@ def path_counts(graph: GraphSlice, nmax: int, start: int = 0,
         vec = nxt
         counts.append(sum(vec.values()))
     return counts
+
+
+# A Mersenne prime far above any coefficient of the characteristic
+# polynomial of a folded graph, so the lift below recovers integers.
+_PRIME = 2 ** 127 - 1
+
+
+def _recurrence(terms: list[int], size: int) -> Optional[list[int]]:
+    """Coefficients q with terms[k] = sum(q[i] * terms[k - d + i]) for
+    every k >= d = len(q), when terms (of a sequence whose linear
+    complexity is at most size) certify that recurrence for the whole
+    sequence; None otherwise.
+
+    Berlekamp-Massey modulo _PRIME proposes the shortest recurrence, its
+    coefficients lifted to the integers of least absolute value.  It is
+    returned only when d <= size, len(terms) >= d + size (Massey's bound)
+    and it reproduces every term exactly over the integers.
+    """
+    p = _PRIME
+    s = [t % p for t in terms]
+    conn, prev = [1], [1]   # connection polynomials, constant term first
+    L, gap, last = 0, 1, 1
+    for n, t in enumerate(s):
+        disc = (t + sum(map(mul, conn[1:L + 1], reversed(s[n - L:n])))) % p
+        if not disc:
+            gap += 1
+            continue
+        coef = disc * pow(last, -1, p) % p
+        old = conn[:]
+        conn += [0] * (len(prev) + gap - len(conn))
+        for i, c in enumerate(prev):
+            conn[i + gap] = (conn[i + gap] - coef * c) % p
+        if 2 * L <= n:
+            L, prev, last, gap = n + 1 - L, old, disc, 1
+        else:
+            gap += 1
+    if L > size or len(terms) < L + size:
+        return None
+    conn += [0] * (L + 1 - len(conn))
+    q = [-c if c <= p // 2 else p - c for c in reversed(conn[1:L + 1])]
+    if any(sum(map(mul, q, terms[k - L:k])) != terms[k]
+           for k in range(L, len(terms))):
+        return None
+    return q
 
 
 def path_words(graph: GraphSlice, n: int, start: int = 0,
@@ -250,7 +316,7 @@ def shortest_path_to_v0(graph: GraphSlice, i: int) -> tuple[int, Word]:
     inside the slice."""
     if not 0 <= i <= graph.K:
         raise ValueError(i)
-    dist = _dist_to_v0(graph)
+    dist = _dist_to_v0(graph, i + 1)
     if dist[i] is None:
         raise TruncationInsufficient(
             f"no path from V_{i} to V_0 inside the K={graph.K} slice")
@@ -259,7 +325,7 @@ def shortest_path_to_v0(graph: GraphSlice, i: int) -> tuple[int, Word]:
     while cur != 0:
         for label in sorted(graph.out[cur]):
             dst = graph.out[cur][label]
-            if dist[dst] is not None and dist[dst] == dist[cur] - 1:
+            if dst < len(dist) and dist[dst] == dist[cur] - 1:
                 labels.append(label)
                 cur = dst
                 break
@@ -268,13 +334,34 @@ def shortest_path_to_v0(graph: GraphSlice, i: int) -> tuple[int, Word]:
     return dist[i], tuple(labels)
 
 
-def _dist_to_v0(graph: GraphSlice) -> list[Optional[int]]:
-    radj: list[list[int]] = [[] for _ in range(graph.K + 1)]
-    for src, table in enumerate(graph.out):
+def _dist_to_v0(graph: GraphSlice, upto: int) -> list[Optional[int]]:
+    """In-slice distances to V_0, exact at least for V_0 .. V_{upto-1} and
+    for every vertex on a shortest path from one of them (None: no path).
+
+    On a slice with a fold (N, P) the search runs only on the vertices
+    below W = min(K + 1, max(upto - 1, N + P) + P), and the table has W
+    entries.  A path from V_i, i < upto, that climbs to some
+    h >= max(i, N + P) + P passed V_{h-P}, since edges climb by at most
+    one, and after its last visit there it climbed the spine to V_h: every
+    vertex between is at least N + P + 1, and its non-spine edges fall
+    below N + P.  From V_h it falls to some
+    V_t on a non-spine edge.  Rows from N + P copy the row P below them,
+    with the same spine label, so V_{h-P} has that edge too, with the same
+    label, and the path is P steps longer than the one that takes it
+    there.  So every shortest path from such a V_i stays below W, and
+    distances, refusals and the least return word are those of the whole
+    slice.  A slice without a fold is searched whole.
+    """
+    top = graph.K + 1
+    if graph.fold is not None:
+        N, P = graph.fold
+        top = min(top, max(upto - 1, N + P) + P)
+    radj: list[list[int]] = [[] for _ in range(top)]
+    for src, table in enumerate(graph.out[:top]):
         for dst in table.values():
-            if src != dst or dst == 0:
+            if dst < top and (src != dst or dst == 0):
                 radj[dst].append(src)
-    dist: list[Optional[int]] = [None] * (graph.K + 1)
+    dist: list[Optional[int]] = [None] * top
     dist[0] = 0
     frontier = [0]
     while frontier:
@@ -295,19 +382,16 @@ def gap_scan(graph: GraphSlice, N: int) -> Optional[int]:
     The answer is certified only within the slice; higher vertices are not
     inspected.
 
-    On a slice with a fold (N_f, P) only the rows below N_f + P + N are
-    read.  `build_graph` makes every row i >= N_f + P a copy of row i - P
-    with its spine entry set to i + 1 (b_{i+1} = b_{i-P+1} there), so every
-    non-spine target of row i is a non-spine target of a row below
-    N_f + P.  A non-spine edge falls back to a match no longer than its own
-    row, so that target is below N_f + P.  Hence a source at N_f + P + N or
-    above drops by more than N on every non-spine edge and climbs by one on
-    its spine edge: it cannot violate.  A slice without a fold scans every
-    row.
+    On a slice with a fold (N_f, P) only the rows below N_f + N are read.
+    By the lemma at `language._Track` every non-spine edge of a row
+    i >= N_f targets a vertex at most |pre| + P <= N_f - 2, |pre| being
+    the bound's preperiod.  Hence a source at N_f + N or above drops by
+    more than N on every non-spine edge and climbs by one on its spine
+    edge: it cannot violate.  A slice without a fold scans every row.
     """
     if N < 1:
         raise ValueError("N >= 1 required")
-    rows = graph.out if graph.fold is None else graph.out[: sum(graph.fold) + N]
+    rows = graph.out if graph.fold is None else graph.out[: graph.fold[0] + N]
     violators = [src for src, table in enumerate(rows)
                  for dst in table.values() if 0 <= src - dst <= N]
     if not violators:

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from negbeta import oracle
-from negbeta.decomposition import c_count
+from negbeta import graph as graphmod, oracle
+from negbeta.decomposition import c_count, t_gap
 from negbeta.errors import (PrefixTooShort, TruncationInsufficient,
                             TwoSidedUnsupported)
-from negbeta.graph import (build_graph, build_graph_for_spec,
-                           follower_equiv_check, gap_scan, k_of,
+from negbeta.graph import (_PRIME, _recurrence, build_graph,
+                           build_graph_for_spec, follower_equiv_check,
+                           gap_scan, k_of,
                            parse_bound_file, path_count, path_counts,
                            path_words, shortest_path_to_v0, walk)
 from negbeta.language import (ShiftSpec, _Track, count_words,
@@ -475,3 +476,117 @@ def test_build_graph_track_work_does_not_grow_with_K(monkeypatch):
             build_graph(spec.upper, K)
             work.append(calls[0])
         assert work[0] == work[1] > 0
+
+
+def _count_pairs(N, P):
+    # (start, floor) as path_count, bound_check (L - 1, L) and the
+    # excursion counts (L, L) use them, for L = 2 and L = N + P
+    return [(0, 0), (1, 2), (2, 2), (N + P - 1, N + P), (N + P, N + P)]
+
+
+def test_recurrence_counts_match_dict_dp(monkeypatch):
+    sizes = []
+
+    def spy(terms, size):
+        q = _recurrence(terms, size)
+        sizes.append((size, q is not None))
+        return q
+
+    monkeypatch.setattr(graphmod, "_recurrence", spy)
+    K = 200
+    for b in FOLD_BOUNDS:
+        g = build_graph(b, K)
+        for start, floor in _count_pairs(*g.fold):
+            ref = _dict_dp_counts(g, K - start, start, floor)
+            sizes.clear()
+            assert path_counts(g, K - start, start, floor) == ref
+            # every long sweep here is certified: no bound falls back
+            [(size, certified)] = sizes
+            assert certified and 2 * size < K - start, (b, start, floor)
+            for nmax in (2 * size - 1, 2 * size, 2 * size + 1):
+                assert path_counts(g, nmax, start, floor) == ref[: nmax + 1]
+
+
+def test_recurrence_needs_massey_bound():
+    fib = [1, 1, 2, 3, 5, 8, 13, 21]
+    assert _recurrence(fib, 2) == [1, 1]
+    assert _recurrence([1, 2, 4, 8], 1) == [2]
+    # linear complexity 2 exceeds size 1
+    assert _recurrence(fib, 1) is None
+    # order 2 found, but 3 terms are fewer than d + size = 4
+    assert _recurrence(fib[:3], 2) is None
+    # linear complexity 7 exceeds size 3
+    assert _recurrence([1, 0, 0, 0, 0, 0, 0, 1], 3) is None
+    # zero modulo the prime, but not over the integers
+    assert _recurrence([1, _PRIME, 0, 0], 2) is None
+
+
+def test_counts_without_certificate_continue_the_dp(monkeypatch):
+    cases = []
+    for b in FOLD_BOUNDS[::10] + [GOLDEN.upper, BRANCHY.upper]:
+        g = build_graph(b, 150)
+        for start, floor in _count_pairs(*g.fold):
+            cases.append((g, start, floor, path_counts(g, 150 - start, start, floor)))
+    monkeypatch.setattr(graphmod, "_recurrence", lambda terms, size: None)
+    for g, start, floor, certified in cases:
+        assert path_counts(g, 150 - start, start, floor) == certified
+
+
+def _full_dist(g):
+    # breadth-first search backwards from V_0 over the whole slice
+    radj = [[] for _ in range(g.K + 1)]
+    for src, table in enumerate(g.out):
+        for dst in table.values():
+            radj[dst].append(src)
+    dist, frontier = [None] * (g.K + 1), [0]
+    dist[0] = 0
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in radj[v]:
+                if dist[u] is None:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return dist
+
+
+def _check_returns_against_full_search(g):
+    dist = _full_dist(g)
+    refusal = "no path from V_{} to V_0 inside the K=%d slice" % g.K
+    for i in range(g.K + 1):
+        if dist[i] is None:
+            with pytest.raises(TruncationInsufficient) as err:
+                shortest_path_to_v0(g, i)
+            assert str(err.value) == refusal.format(i)
+        else:
+            d, labels = shortest_path_to_v0(g, i)
+            assert d == dist[i] == len(labels)
+            # the lexicographically least word among the shortest ones
+            cur = i
+            for a in labels:
+                least = min(x for x, t in g.out[cur].items()
+                            if dist[t] is not None and dist[t] == dist[cur] - 1)
+                assert a == least
+                cur = g.out[cur][a]
+            assert cur == 0
+    for upto in range(1, g.K + 2):
+        L = 1 if upto % 2 else upto  # t_gap reads only M + L
+        head = dist[:upto]
+        if None in head:
+            with pytest.raises(TruncationInsufficient) as err:
+                t_gap(g, upto - L, L)
+            assert str(err.value) == refusal.format(head.index(None))
+        else:
+            assert t_gap(g, upto - L, L) == max(head)
+
+
+def test_return_paths_on_fold_match_full_search():
+    for b in FOLD_BOUNDS:
+        N, P = _fold(b)
+        for K in sorted({N + P - 1, N + P, N + 2 * P - 1, N + 2 * P, 200}):
+            _check_returns_against_full_search(build_graph(b, K))
+    # a finite prefix has no fold: the whole slice is searched
+    g = build_graph(word("3232133") * 30, 200)
+    assert g.fold is None
+    _check_returns_against_full_search(g)
