@@ -302,22 +302,20 @@ def cmd_factor(args) -> int:
     beta = _beta_of(args)
     spec = _spec_of(args)
     # as in cmd_expand, an interval base reads golden_test off its
-    # classification, so the orbit of 1 is walked once
-    cls = None if beta.is_exact else classify_d1(beta, args.horizon)
-    golden = (golden_test(beta, horizon=args.horizon) if cls is None
-              else golden_test_prefix(beta, cls.digits))
+    # classification, so the orbit of 1 is walked once; from_beta made the
+    # spec two-sided exactly when the expansion of 1 is purely odd-periodic
+    golden = (golden_test(beta, horizon=args.horizon) if beta.is_exact
+              else golden_test_prefix(beta, classify_d1(beta, args.horizon).digits))
     if golden == "below":
         code = factors.build_case1_code(spec)
-    else:
-        if cls is None:
-            cls = classify_d1(beta, args.horizon)
-        if cls.kind != "periodic_odd":
-            raise ValueError(
-                "no staircase factor construction applies: the base is at or "
-                "above the golden ratio and the expansion of 1 is not purely "
-                "odd-periodic (factors of this shift have unique maximal-"
-                "entropy measures)")
+    elif spec.two_sided:
         code = factors.build_case2_code(spec)
+    else:
+        raise ValueError(
+            "no staircase factor construction applies: the base is at or "
+            "above the golden ratio and the expansion of 1 is not purely "
+            "odd-periodic (factors of this shift have unique maximal-"
+            "entropy measures)")
     report = factors.verify_factor(code, spec, args.depth)
     path = _emit_json(args, "factor_report.json", {"report": report.to_json()})
     print(path)

@@ -22,8 +22,8 @@ from typing import Optional
 
 from .errors import (GlueFailed, NoLFound, NoSelfLoop, NotInGM,
                      TruncationInsufficient)
-from .graph import (GraphSlice, _dist_to_v0, gap_scan, path_counts,
-                    path_words, shortest_path_to_v0, walk)
+from .graph import (GraphSlice, _dist_to_v0, _least_return, gap_scan,
+                    path_counts, path_words, walk)
 from .language import NO, ShiftSpec, _Automaton, periodic_block_ok
 from .order import Word, _primitive_root, word
 
@@ -183,15 +183,21 @@ def split(graph: GraphSlice, L: int, w) -> tuple[Word, Word]:
 
 def t_gap(graph: GraphSlice, M: int, L: int) -> int:
     """Largest shortest-path length back to V_0 over vertices 0..M+L-1."""
+    return _gap_table(graph, M, L)[0]
+
+
+def _gap_table(graph: GraphSlice, M: int, L: int) -> tuple[int, list[Optional[int]]]:
+    """t_gap and the `_dist_to_v0` table it was read from, exact at
+    V_0 .. V_{M+L-1}."""
     if M < 0 or L < 1:
         raise ValueError("M >= 0 and L >= 1 required")
     if M + L - 1 > graph.K:
         raise TruncationInsufficient("M + L - 1 exceeds the slice")
-    dist = _dist_to_v0(graph, M + L)[: M + L]
-    if None in dist:
+    dist = _dist_to_v0(graph, M + L)
+    if None in dist[: M + L]:
         raise TruncationInsufficient(
             f"no path from V_{dist.index(None)} to V_0 inside the K={graph.K} slice")
-    return max(dist)
+    return max(dist[: M + L]), dist
 
 
 @dataclass
@@ -259,11 +265,12 @@ def glue(graph: GraphSlice, spec: ShiftSpec, L: int, M: int, words_in,
     verified = "exact" if not spec.prefix_mode else f"horizon:{len(spec.upper)}"
     if t is None:
         try:
-            gap = t_gap(graph, M, L)
+            # one table serves every connector: each end is below M + L
+            gap, dist = _gap_table(graph, M, L)
             connectors = []
             for end in ends:
-                dist, labels = shortest_path_to_v0(graph, end)
-                connectors.append(labels + (1,) * (gap - dist))
+                d, labels = _least_return(graph, dist, end)
+                connectors.append(labels + (1,) * (gap - d))
             x, block = _assemble(words, connectors)
             if periodic_block_ok(spec, block):
                 return GlueResult(words, connectors, gap, x, block,

@@ -316,7 +316,13 @@ def shortest_path_to_v0(graph: GraphSlice, i: int) -> tuple[int, Word]:
     inside the slice."""
     if not 0 <= i <= graph.K:
         raise ValueError(i)
-    dist = _dist_to_v0(graph, i + 1)
+    return _least_return(graph, _dist_to_v0(graph, i + 1), i)
+
+
+def _least_return(graph: GraphSlice, dist: list[Optional[int]],
+                  i: int) -> tuple[int, Word]:
+    """`shortest_path_to_v0` read off a `_dist_to_v0` table exact at V_i:
+    the descent takes the least label to a vertex one step nearer V_0."""
     if dist[i] is None:
         raise TruncationInsufficient(
             f"no path from V_{i} to V_0 inside the K={graph.K} slice")

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import HorizonExhausted, NotOddPeriodic, SpecPrefixTooShort
-from .numeric import BetaValue, classify_d1, expand
+from .numeric import BetaValue, _d1_cycle, expand
 from .order import (BoundSeq, EvPeriodicSeq, Word, _alt_sign, _failure_table,
                     bound_digit, bound_len, is_alt_shift_maximal, word)
 
@@ -93,27 +93,18 @@ class ShiftSpec:
     @staticmethod
     def from_beta(beta: BetaValue, horizon: int = 256,
                   prefix_len: int = 64) -> "ShiftSpec":
-        """Build the spec for a base: classify the expansion of 1 and use a
-        periodic bound when certified, otherwise a certified prefix.
+        """Build the spec for a base: the two-sided odd-period spec when
+        `classify_d1` certifies a cycle, otherwise a certified prefix of
+        prefix_len digits from one walk of the orbit of 1.
 
-        An interval base never certifies a cycle, so only its prefix is
-        expanded.  An exact base without a cycle takes its prefix from the
-        classified digits when they reach prefix_len.
+        Only an integer base b has a cycle, (b+1)^inf, certified when
+        horizon >= 2 (the lemma at `numeric._d1_cycle`), so on every other
+        base horizon is only validated.
         """
-        if beta.is_exact:
-            cls = classify_d1(beta, horizon)
-            if cls.purely_periodic:
-                upper = EvPeriodicSeq.make((), cls.digits[: cls.period])
-                lower = "derived" if cls.kind == "periodic_odd" else None
-                return ShiftSpec.make(upper, lower=lower, origin=beta)
-            if cls.kind == "eventually_periodic":
-                s, p = cls.preperiod, cls.period
-                upper = EvPeriodicSeq.make(cls.digits[:s], cls.digits[s: s + p])
-                return ShiftSpec.make(upper, origin=beta)
-            if 1 <= prefix_len <= horizon:
-                return ShiftSpec.make(cls.digits[:prefix_len], origin=beta)
-        elif horizon < 1:
-            raise ValueError("horizon >= 1 required")
+        cycle = _d1_cycle(beta, horizon)
+        if cycle is not None:
+            return ShiftSpec.make(EvPeriodicSeq.make((), cycle), lower="derived",
+                                  origin=beta)
         got = expand(beta, 1, prefix_len)
         return ShiftSpec.make(got.digits[: got.certified], origin=beta)
 

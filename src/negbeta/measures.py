@@ -103,16 +103,16 @@ class EntropyEstimate:
         }
 
 
-def htop_estimate(spec: ShiftSpec, nmax: int, per_nmax: Optional[int] = None) -> EntropyEstimate:
+def htop_estimate(spec: ShiftSpec, nmax: int) -> EntropyEstimate:
     """Finite-size topological entropy estimate from exact word counts,
-    with the periodic-block growth sequence as a secondary diagnostic."""
+    with the periodic-block growth sequence up to min(nmax, 12) as a
+    secondary diagnostic."""
     if nmax < 2:
         raise ValueError("nmax >= 2 required")
-    return htop_from_table(spec, count_words(spec, nmax), per_nmax)
+    return htop_from_table(spec, count_words(spec, nmax))
 
 
-def htop_from_table(spec: ShiftSpec, table: CountTable,
-                    per_nmax: Optional[int] = None) -> EntropyEstimate:
+def htop_from_table(spec: ShiftSpec, table: CountTable) -> EntropyEstimate:
     """htop_estimate from a count table up to nmax (as count_words builds
     it); period-block counts already in the table are reused, not counted
     again, so a caller holding a table with_per counts each length once."""
@@ -122,11 +122,10 @@ def htop_from_table(spec: ShiftSpec, table: CountTable,
     counts = [r["count_words"] for r in table.rows]
     west = [math.log(c) / n if c > 0 else 0.0
             for n, c in enumerate(counts, start=1)]
-    pn = per_nmax if per_nmax is not None else min(nmax, 12)
     known = {r["n"]: r["count_per"] for r in table.rows if "count_per" in r}
     aut = _Automaton(spec)  # one automaton for every length's block walk
     pcounts = [known[n] if n in known else _per_count(aut, n)
-               for n in range(1, pn + 1)]
+               for n in range(1, min(nmax, 12) + 1)]
     pest = [math.log(c) / n if c > 0 else None
             for n, c in enumerate(pcounts, start=1)]
     return EntropyEstimate(west[-1], nmax, counts, pcounts, west, pest,

@@ -11,10 +11,11 @@ decides is the digit the exact enclosure decides (the lemma at `_orbit`).
 Only when no precision finishes does it run the exact orbit, once, at
 the top precision, and report its certified prefix.  Interval results
 are only reported when an enclosure determines them.  Each question
-about the orbit of 1 walks it at most once: `classify_d1` needs no cycle
-search except on an integer base, `golden_test` decides an exact base by
-an integer test without walking at all, and an interval base's certified
-prefix can be handed to `golden_test_prefix` for reuse.
+about the orbit of 1 walks it at most once: `classify_d1` knows the one
+cycle there is (that of an integer base, by the lemma at `_d1_cycle`)
+without walking, `golden_test` decides an exact base by an integer test
+without walking at all, and an interval base's certified prefix can be
+handed to `golden_test_prefix` for reuse.
 """
 
 from __future__ import annotations
@@ -287,9 +288,10 @@ def expand(beta: BetaValue, x: UnitPoint, n: int, max_bits: int = 4096) -> Certi
 class D1Classification:
     """Cycle structure of the digit expansion of 1.
 
-    kind is one of "periodic_odd", "periodic_even", "eventually_periodic"
-    or "no_cycle".  Periods are certified only in exact rational mode, by
-    literal repetition of an orbit value; interval mode never certifies.
+    kind is "periodic_odd" (period 1, preperiod 0) for an integer base b,
+    whose expansion of 1 is (b+1)^inf, or "no_cycle" with the first horizon
+    digits: by the lemma at `_d1_cycle` no other exact base has a cycle,
+    and an interval base never certifies one.
     """
 
     kind: str
@@ -300,43 +302,35 @@ class D1Classification:
 
     @property
     def purely_periodic(self) -> bool:
-        return self.kind in ("periodic_odd", "periodic_even")
+        return self.kind == "periodic_odd"
 
 
-def classify_d1(beta: BetaValue, horizon: int) -> D1Classification:
-    """Detect (pure or eventual) periodicity of the expansion of 1."""
-    if horizon < 1:
-        raise ValueError("horizon >= 1 required")
-    if not beta.is_exact:
-        got = expand(beta, ONE, horizon)
-        return D1Classification("no_cycle", None, None, horizon, got.digits)
+def _d1_cycle(beta: BetaValue, horizon: int) -> Optional[Word]:
+    """The period of the expansion of 1 when a walk of horizon steps would
+    see it repeat: (b + 1,) for an integer base b and horizon >= 2, else
+    None.  The walk is never run."""
     # For beta = p/q in lowest terms and x = 1, the t-th orbit value is
     # num/q^t with num > 0 and gcd(num, q) = 1: true at t = 0 (1/1), and
     # the next numerator d*q^(t+1) - p*num has gcd(d*q^(t+1) - p*num, q) =
     # gcd(p*num, q) = 1.  So for q > 1 the reduced denominators q^t differ
-    # from step to step, no value repeats and there is no cycle.  Only an
-    # integer base is searched, keyed by the kernel's raw (num, 1).
-    orbit = _orbit(beta, ONE)
-    if beta.exact.denominator > 1:
-        return D1Classification("no_cycle", None, None, horizon,
-                                tuple(d for d, _, _, _ in islice(orbit, horizon)))
-    seen: dict[tuple[int, int], int] = {}
-    digits: list[int] = []
-    cur = (1, 1)
-    for t in range(horizon):
-        if cur in seen:
-            s = seen[cur]
-            p = t - s
-            if s == 0:
-                kind = "periodic_odd" if p % 2 == 1 else "periodic_even"
-                return D1Classification(kind, p, 0, horizon, tuple(digits))
-            return D1Classification("eventually_periodic", p, s, horizon,
-                                    tuple(digits))
-        seen[cur] = t
-        d, num, _, den = next(orbit)
-        digits.append(d)
-        cur = (num, den)
-    return D1Classification("no_cycle", None, None, horizon, tuple(digits))
+    # from step to step, no value repeats and there is no cycle.  For
+    # q = 1 the map fixes 1: 1 -> (b + 1) - b*1 = 1, seen at step 1.
+    if horizon < 1:
+        raise ValueError("horizon >= 1 required")
+    if beta.is_exact and beta.exact.denominator == 1 and horizon >= 2:
+        return (beta.exact.numerator + 1,)
+    return None
+
+
+def classify_d1(beta: BetaValue, horizon: int) -> D1Classification:
+    """Classify the expansion of 1 by the lemma at `_d1_cycle`: an integer
+    base is periodic_odd without walking its orbit; any other base walks
+    horizon steps for its no_cycle digits."""
+    cycle = _d1_cycle(beta, horizon)
+    if cycle is not None:
+        return D1Classification("periodic_odd", 1, 0, horizon, cycle)
+    return D1Classification("no_cycle", None, None, horizon,
+                            expand(beta, ONE, horizon).digits)
 
 
 GOLDEN_UPPER = EvPeriodicSeq.make((2,), (1,))

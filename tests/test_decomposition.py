@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from negbeta import oracle
-from negbeta.decomposition import (bound_check, c_count, c_entropy_profile,
-                                   c_words, glue, require_profile_cutoff,
-                                   split, t_gap)
+from negbeta import decomposition, oracle
+from negbeta import graph as graphmod
+from negbeta.decomposition import (GlueResult, bound_check, c_count,
+                                   c_entropy_profile, c_words, glue,
+                                   require_profile_cutoff, split, t_gap)
 from negbeta.errors import (GlueFailed, NoLFound, NoSelfLoop, NotInGM,
                             TruncationInsufficient)
 from negbeta.graph import build_graph, build_graph_for_spec, path_counts, walk
@@ -229,6 +230,27 @@ def test_glue_paths_route():
     assert res_fig.route == "paths"
     assert res_fig.verified == "exact"
     assert periodic_block_ok(FIG, res_fig.block)
+
+
+def test_glue_reads_one_v0_distance_table(monkeypatch):
+    # the gap and every connector's least return word come from one table
+    # for V_0 .. V_{M+L-1}; a finite prefix makes each search cover the slice
+    spec52 = ShiftSpec.from_beta(BetaValue.from_rational(F(5, 2)), prefix_len=62)
+    gs52 = build_graph_for_spec(spec52, 60)
+    real, calls = graphmod._dist_to_v0, []
+
+    def spy(graph, upto):
+        calls.append(upto)
+        return real(graph, upto)
+
+    for module in (graphmod, decomposition):
+        monkeypatch.setattr(module, "_dist_to_v0", spy)
+    res = glue(gs52, spec52, 2, 4, [(1,), (2,), (3,), (1, 1)])
+    assert calls == [6]
+    x = word("11121132111")
+    assert res == GlueResult([(1,), (2,), (3,), (1, 1)],
+                             [(1, 1), (1, 1), (2, 1), (1, 1)], 2, x, x + (1, 1),
+                             13, "paths", "horizon:62")
 
 
 def test_glue_guards():

@@ -7,12 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negbeta import numeric
-from negbeta.errors import AmbiguousDigit, DomainError
+from negbeta.errors import AmbiguousDigit, DomainError, UndecidableOrder
 from negbeta.language import ShiftSpec
 from negbeta.numeric import (BetaValue, CertifiedDigits, D1Classification,
                              IntervalValue, _orbit, classify_d1, expand,
-                             golden_test, leo_witness, psi_value, step,
-                             step_extended)
+                             golden_test, golden_test_prefix, leo_witness,
+                             psi_value, step, step_extended)
 from negbeta.order import EQ, LT, EvPeriodicSeq, cmp_prefix, word
 
 B2 = BetaValue.from_rational(2)
@@ -355,7 +355,8 @@ def test_golden_expansion_closed_form_at_2000():
 
 
 def test_classify_d1_integer_bases_match_reference():
-    # only integer bases search for a cycle: (b+1)^inf, period 1
+    # only integer bases have a cycle, (b+1)^inf of period 1, seen by the
+    # reference search from horizon 2 on
     for b in range(2, 7):
         beta = BetaValue.from_rational(b)
         for horizon in range(1, 13):
@@ -366,7 +367,8 @@ def test_classify_d1_integer_bases_match_reference():
 @settings(max_examples=100, deadline=None)
 def test_orbit_of_one_stays_reduced_over_q_powers(q, k, steps):
     # beta = p/q in lowest terms: the t-th value of the orbit of 1 is
-    # num/q^t with num coprime to q, so classify_d1 keys on raw pairs
+    # num/q^t with num coprime to q, so for q > 1 no value repeats and
+    # classify_d1 finds no cycle (the lemma at numeric._d1_cycle)
     beta = BetaValue.from_rational(1 + F(k, q))
     q = beta.exact.denominator
     for t, (_, num, hi, den) in enumerate(islice(_orbit(beta, F(1)), steps), 1):
@@ -411,10 +413,10 @@ def test_golden_test_fibonacci_ratios_match_prefix_procedure():
 
 
 def _from_beta_reference(beta, horizon, prefix_len):
-    """ShiftSpec.from_beta by classifying to the horizon on every base and
-    then expanding the prefix afresh."""
-    cls = classify_d1(beta, horizon)
-    if cls.purely_periodic:
+    """ShiftSpec.from_beta by classifying to the horizon on every base with
+    the reference cycle search and then expanding the prefix afresh."""
+    cls = _reference_classify(beta, horizon)
+    if cls.kind in ("periodic_odd", "periodic_even"):
         lower = "derived" if cls.kind == "periodic_odd" else None
         return ShiftSpec.make(EvPeriodicSeq.make((), cls.digits[: cls.period]),
                               lower=lower)
@@ -430,6 +432,10 @@ _golden_bases = st.builds(BetaValue.golden, st.integers(8, 256))
 
 @given(st.one_of(_golden_bases, _interval_bases, _exact_bases),
        st.integers(1, 300), st.integers(1, 300))
+@example(B2, 1, 1)    # an integer base at the edge of the closed form
+@example(B2, 1, 300)
+@example(BetaValue.from_rational(3), 2, 1)
+@example(BetaValue.from_rational(3), 2, 300)
 @settings(max_examples=80, deadline=None)
 def test_from_beta_matches_classify_then_expand(beta, horizon, prefix_len):
     got = ShiftSpec.from_beta(beta, horizon=horizon, prefix_len=prefix_len)
@@ -445,3 +451,37 @@ def test_from_beta_guards():
     for beta in (B13, BetaValue.golden(8)):
         with pytest.raises(ValueError, match=r"^n >= 1 required$"):
             ShiftSpec.from_beta(beta, prefix_len=0)
+
+
+def test_from_beta_walks_the_orbit_of_one_at_most_prefix_len_steps(monkeypatch):
+    steps = []
+
+    def counting(b, x, round_bits=None):
+        for got in _orbit(b, x, round_bits):
+            steps.append(got)
+            yield got
+
+    monkeypatch.setattr(numeric, "_orbit", counting)
+    ShiftSpec.from_beta(B13)
+    assert len(steps) <= 64
+    steps.clear()
+    for b in (2, 3, 7):
+        assert ShiftSpec.from_beta(BetaValue.from_rational(b)).two_sided
+        assert classify_d1(BetaValue.from_rational(b), 256).kind == "periodic_odd"
+    assert steps == []
+
+
+def test_golden_test_prefix_decides_or_refuses():
+    # the prefix decides an interval base almost always; a full tie with
+    # 2(1)^inf is decided only for the labelled golden base
+    assert golden_test(_dyadic_beta(F(13, 10), 16)) == "below"
+    assert golden_test(_dyadic_beta(F(17, 10), 16)) == "at_or_above"
+    golden = BetaValue.golden(64)
+    unlabelled = BetaValue(lo=golden.lo, hi=golden.hi, bits=golden.bits,
+                           refiner=golden.refiner)
+    digits = expand(unlabelled, F(1), 64).digits
+    assert golden_test_prefix(golden, digits) == "at_or_above"
+    with pytest.raises(UndecidableOrder, match="ties 2"):
+        golden_test_prefix(unlabelled, digits)
+    with pytest.raises(UndecidableOrder):
+        golden_test(unlabelled)
