@@ -301,12 +301,11 @@ def cmd_measure(args) -> int:
 def cmd_factor(args) -> int:
     beta = _beta_of(args)
     spec = _spec_of(args)
-    # as in cmd_expand, an interval base reads golden_test off its
-    # classification, so the orbit of 1 is walked once; from_beta made the
-    # spec two-sided exactly when the expansion of 1 is purely odd-periodic
-    golden = (golden_test(beta, horizon=args.horizon) if beta.is_exact
-              else golden_test_prefix(beta, classify_d1(beta, args.horizon).digits))
-    if golden == "below":
+    if args.horizon < 1:  # golden and --b-file specs leave it unchecked
+        raise ValueError("horizon >= 1 required")
+    # from_beta made the spec two-sided exactly when the expansion of 1 is
+    # purely odd-periodic
+    if golden_test(beta, horizon=args.horizon) == "below":
         code = factors.build_case1_code(spec)
     elif spec.two_sided:
         code = factors.build_case2_code(spec)

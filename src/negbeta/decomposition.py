@@ -186,11 +186,15 @@ def t_gap(graph: GraphSlice, M: int, L: int) -> int:
     return _gap_table(graph, M, L)[0]
 
 
+def _check_gap_args(M: int, L: int) -> None:
+    if M < 0 or L < 1:
+        raise ValueError("M >= 0 and L >= 1 required")
+
+
 def _gap_table(graph: GraphSlice, M: int, L: int) -> tuple[int, list[Optional[int]]]:
     """t_gap and the `_dist_to_v0` table it was read from, exact at
     V_0 .. V_{M+L-1}."""
-    if M < 0 or L < 1:
-        raise ValueError("M >= 0 and L >= 1 required")
+    _check_gap_args(M, L)
     if M + L - 1 > graph.K:
         raise TruncationInsufficient("M + L - 1 exceeds the slice")
     dist = _dist_to_v0(graph, M + L)
@@ -246,6 +250,7 @@ def glue(graph: GraphSlice, spec: ShiftSpec, L: int, M: int, words_in,
     lexicographic connectors), and every candidate block is verified
     exactly before being returned.
     """
+    _check_gap_args(M, L)
     words = [word(w) for w in words_in]
     if not words:
         raise ValueError("nothing to glue")

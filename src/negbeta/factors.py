@@ -40,17 +40,9 @@ def x_language(n: int) -> list[Word]:
 
 
 def in_x_language(w) -> bool:
+    """Whether w is a word of the target shift: 1s, then 2s."""
     w = word(w)
-    seen_two = False
-    for d in w:
-        if d == 2:
-            seen_two = True
-        elif d == 1:
-            if seen_two:
-                return False
-        else:
-            return False
-    return True
+    return set(w) <= {1, 2} and w == tuple(sorted(w))
 
 
 @dataclass(frozen=True)

@@ -22,27 +22,26 @@ where the fold would say what lies beyond.  Path counts (`path_counts`,
 which `path_count`, the excursion counts of `negbeta.decomposition` and its
 `bound_check` share) run on the slice folded at its verified period; on a
 slice with a fold that period is found among a window of rows whose length
-does not grow with n.  The first 2·size counts come from a DP on the
-folded graph of `size` vertices, and the rest from a linear recurrence
-that an exact integer check certifies, so a long sweep costs one sum of at
-most `size` products per length.  `path_words` walks the same edges, with
-the same floor, to list the words those counts count.  On a slice with a
-fold, `gap_scan` reads only the rows below N + n, n being its drop bound,
-and distances back to V_0 (`shortest_path_to_v0`, `decomposition.t_gap`)
-come from a search over a window of vertices set by the fold and the
-highest vertex asked about, not by K.
+does not grow with n.  `language._walk_counts`, which `count_words` shares,
+counts the folded graph of `size` vertices by a certified linear
+recurrence, so a long sweep costs one sum of at most `size` products per
+length.  `path_words` walks the same edges, with the same floor, to list
+the words those counts count.  On a slice with a fold, `gap_scan` reads
+only the rows below N + n, n being its drop bound, and distances back to
+V_0 (`shortest_path_to_v0`, `decomposition.t_gap`) come from a search over
+a window of vertices set by the fold and the highest vertex asked about,
+not by K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Iterator, Optional
 
 from .errors import (PrefixTooShort, TruncationInsufficient,
                      TwoSidedUnsupported)
-from .language import (ShiftSpec, _lex_words, _Track, follower_words,
-                       is_admissible)
+from .language import (ShiftSpec, _lex_words, _Track, _walk_counts,
+                       follower_words, is_admissible)
 from .order import (BoundSeq, EvPeriodicSeq, Word, _failure_table,
                     bound_len, word)
 
@@ -198,17 +197,7 @@ def path_counts(graph: GraphSlice, nmax: int, start: int = 0,
     found there is at most c + P, and its period p holds on at least c + 2P
     of those P-periodic rows, which is p + P or more: by Fine-Wilf the rows
     from c on also have period gcd(p, P), so p holds on every later row.
-
-    The counts are 1^T A^n e_start for the size x size matrix A of the
-    folded graph, so by Cayley-Hamilton they satisfy a linear recurrence
-    of order at most size over the integers.  The DP runs for the first
-    2·size lengths; a recurrence of order d <= size that `_recurrence`
-    checks on those 2·size + 1 exact counts then generates every later
-    count (Massey 1969, "Shift-register synthesis and BCH decoding"): its
-    residual t_k = counts[k] - sum of q times the d counts before it obeys
-    the order-size recurrence of the counts from k = d + size on, and is
-    zero for k = d .. d + size - 1, hence zero for every k >= d.  Without
-    such a recurrence the DP goes on to nmax.
+    `language._walk_counts` counts the folded graph.
     """
     if nmax < 0:
         raise ValueError(nmax)
@@ -234,65 +223,8 @@ def path_counts(graph: GraphSlice, nmax: int, start: int = 0,
     size, j0 = m - f, m - ell
     adj = [[(v + 1 if v + 1 < size else j0) if t < 0 else t for t in row]
            for v, row in enumerate(rows[:size])]
-    vec = {start if start < size else j0 + (start - j0) % (ell - f): 1}
-    counts = [1]
-    for k in range(1, nmax + 1):
-        if k == 2 * size + 1 and (q := _recurrence(counts, size)) is not None:
-            d = len(q)
-            for j in range(k, nmax + 1):
-                counts.append(sum(map(mul, q, counts[j - d:j])))
-            break
-        nxt: dict[int, int] = {}
-        for v, c in vec.items():
-            for dst in adj[v]:
-                nxt[dst] = nxt.get(dst, 0) + c
-        vec = nxt
-        counts.append(sum(vec.values()))
-    return counts
-
-
-# A Mersenne prime far above any coefficient of the characteristic
-# polynomial of a folded graph, so the lift below recovers integers.
-_PRIME = 2 ** 127 - 1
-
-
-def _recurrence(terms: list[int], size: int) -> Optional[list[int]]:
-    """Coefficients q with terms[k] = sum(q[i] * terms[k - d + i]) for
-    every k >= d = len(q), when terms (of a sequence whose linear
-    complexity is at most size) certify that recurrence for the whole
-    sequence; None otherwise.
-
-    Berlekamp-Massey modulo _PRIME proposes the shortest recurrence, its
-    coefficients lifted to the integers of least absolute value.  It is
-    returned only when d <= size, len(terms) >= d + size (Massey's bound)
-    and it reproduces every term exactly over the integers.
-    """
-    p = _PRIME
-    s = [t % p for t in terms]
-    conn, prev = [1], [1]   # connection polynomials, constant term first
-    L, gap, last = 0, 1, 1
-    for n, t in enumerate(s):
-        disc = (t + sum(map(mul, conn[1:L + 1], reversed(s[n - L:n])))) % p
-        if not disc:
-            gap += 1
-            continue
-        coef = disc * pow(last, -1, p) % p
-        old = conn[:]
-        conn += [0] * (len(prev) + gap - len(conn))
-        for i, c in enumerate(prev):
-            conn[i + gap] = (conn[i + gap] - coef * c) % p
-        if 2 * L <= n:
-            L, prev, last, gap = n + 1 - L, old, disc, 1
-        else:
-            gap += 1
-    if L > size or len(terms) < L + size:
-        return None
-    conn += [0] * (L + 1 - len(conn))
-    q = [-c if c <= p // 2 else p - c for c in reversed(conn[1:L + 1])]
-    if any(sum(map(mul, q, terms[k - L:k])) != terms[k]
-           for k in range(L, len(terms))):
-        return None
-    return q
+    s0 = start if start < size else j0 + (start - j0) % (ell - f)
+    return _walk_counts(s0, nmax, adj.__getitem__, size)
 
 
 def path_words(graph: GraphSlice, n: int, start: int = 0,

@@ -16,7 +16,10 @@ length.  Its reader (`_Automaton.read`) decides a word from any state as
 "yes", "no" or, when a suffix ties the whole of a finite upper prefix and
 runs past it, "undetermined"; a periodic point is read through it until
 the state at a block boundary repeats.  The graph layer reuses its
-upper-bound track: its vertex V_k is the upper match length k.
+upper-bound track: its vertex V_k is the upper match length k.  Walks are
+counted, on the automaton (`count_words`) and on the graph layer's folded
+slices (`graph.path_counts`), by one kernel, `_walk_counts`, whose DP a
+certified linear recurrence cuts short.
 
 The period-n blocks form rotation classes, so they are walked by necklace:
 the admissible prenecklaces are grown in lexicographic order
@@ -34,6 +37,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterator, Optional
 
 from .errors import HorizonExhausted, NotOddPeriodic, SpecPrefixTooShort
@@ -439,23 +443,95 @@ class CountTable:
         return buf.getvalue()
 
 
+def _walk_counts(start, nmax: int, targets, size: int) -> list[int]:
+    """Numbers of length-n walks from `start` for n = 0..nmax (exact, big
+    integers) in a graph of at most `size` states, where targets(v) lists
+    the targets of v's out-edges with multiplicity.
+
+    The counts are 1^T A^n e_start for the size x size matrix A, so by
+    Cayley-Hamilton they satisfy a linear recurrence of order at most size
+    over the integers.  A DP over path multiplicities runs for the first
+    2·size lengths; a recurrence of order d <= size that `_recurrence`
+    checks on those 2·size + 1 exact counts then generates every later
+    count (Massey 1969, "Shift-register synthesis and BCH decoding"): its
+    residual t_k = counts[k] - sum of q times the d counts before it obeys
+    the order-size recurrence of the counts from k = d + size on, and is
+    zero for k = d .. d + size - 1, hence zero for every k >= d.  Without
+    such a recurrence the DP goes on to nmax.  Every reachable state is
+    reached within size - 1 steps, so a targets call that raises (at the
+    whole tie of a finite prefix) raises before certification, at the same n.
+    """
+    vec, counts = {start: 1}, [1]
+    for k in range(1, nmax + 1):
+        if k == 2 * size + 1 and (q := _recurrence(counts, size)) is not None:
+            d = len(q)
+            for j in range(k, nmax + 1):
+                counts.append(sum(map(mul, q, counts[j - d:j])))
+            break
+        nxt: dict = {}
+        for v, c in vec.items():
+            for t in targets(v):
+                nxt[t] = nxt.get(t, 0) + c
+        vec = nxt
+        counts.append(sum(vec.values()))
+    return counts
+
+
+# A Mersenne prime for the lift below; a coefficient past 2^126 (a huge
+# alphabet) makes the lift fail, which only means that the DP goes on.
+_PRIME = 2 ** 127 - 1
+
+
+def _recurrence(terms: list[int], size: int) -> Optional[list[int]]:
+    """Coefficients q with terms[k] = sum(q[i] * terms[k - d + i]) for
+    every k >= d = len(q), when terms (of a sequence whose linear
+    complexity is at most size) certify that recurrence for the whole
+    sequence; None otherwise.
+
+    Berlekamp-Massey modulo _PRIME proposes the shortest recurrence, its
+    coefficients lifted to the integers of least absolute value.  It is
+    returned only when d <= size, len(terms) >= d + size (Massey's bound)
+    and it reproduces every term exactly over the integers.
+    """
+    p = _PRIME
+    s = [t % p for t in terms]
+    conn, prev = [1], [1]   # connection polynomials, constant term first
+    L, gap, last = 0, 1, 1
+    for n, t in enumerate(s):
+        disc = (t + sum(map(mul, conn[1:L + 1], reversed(s[n - L:n])))) % p
+        if not disc:
+            gap += 1
+            continue
+        coef = disc * pow(last, -1, p) % p
+        old = conn[:]
+        conn += [0] * (len(prev) + gap - len(conn))
+        for i, c in enumerate(prev):
+            conn[i + gap] = (conn[i + gap] - coef * c) % p
+        if 2 * L <= n:
+            L, prev, last, gap = n + 1 - L, old, disc, 1
+        else:
+            gap += 1
+    if L > size or len(terms) < L + size:
+        return None
+    conn += [0] * (L + 1 - len(conn))
+    q = [-c if c <= p // 2 else p - c for c in reversed(conn[1:L + 1])]
+    if any(sum(map(mul, q, terms[k - L:k])) != terms[k]
+           for k in range(L, len(terms))):
+        return None
+    return q
+
+
 def count_words(spec: ShiftSpec, nmax: int, with_per: bool = False) -> CountTable:
-    """Exact word counts for every length up to nmax: a layer-by-layer sum
-    of path multiplicities over the states of the suffix-match automaton."""
+    """Exact word counts for every length up to nmax: walks from the start
+    of the suffix-match automaton, counted by `_walk_counts`.  A track has
+    len(digits) states when folded, one more for a finite prefix."""
     if nmax < 1:
         raise ValueError("nmax >= 1 required")
     aut = _Automaton(spec)
-    layer = {aut.start: 1}
-    counts = []
-    for _n in range(nmax):
-        nxt: dict[tuple[int, int], int] = {}
-        for state, c in layer.items():
-            for _a, t in aut.successors(state):
-                nxt[t] = nxt.get(t, 0) + c
-        layer = nxt
-        counts.append(sum(layer.values()))
+    size = math.prod(len(t.digits) + t.finite for t in (aut.upper, aut.lower) if t)
+    counts = _walk_counts(aut.start, nmax, lambda s: aut._out(s).values(), size)
     rows = []
-    for n, count in enumerate(counts, start=1):
+    for n, count in enumerate(counts[1:], start=1):
         row = {"n": n, "count_words": count, "exact": True}
         if with_per:
             row["count_per"] = _per_count(aut, n)

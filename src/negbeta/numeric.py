@@ -300,10 +300,6 @@ class D1Classification:
     horizon: int
     digits: Word
 
-    @property
-    def purely_periodic(self) -> bool:
-        return self.kind == "periodic_odd"
-
 
 def _d1_cycle(beta: BetaValue, horizon: int) -> Optional[Word]:
     """The period of the expansion of 1 when a walk of horizon steps would

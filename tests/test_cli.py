@@ -131,6 +131,16 @@ def test_glue_command(tmp_path):
     assert len(doc["glue"]["block"]) == len(doc["glue"]["x"]) + doc["glue"]["gap"]
 
 
+def test_glue_M_below_zero_exits_2(tmp_path, capsys):
+    words = tmp_path / "w.txt"
+    words.write_text("2\n21\n")
+    for extra in (["--M", "-1"], ["--L", "0"]):
+        assert run(["glue", "--beta", "golden", "--words-file", words, *extra,
+                    "--out", tmp_path / "g"]) == 2
+        assert capsys.readouterr().err == "error: M >= 0 and L >= 1 required\n"
+    assert not (tmp_path / "g").exists()
+
+
 def test_measure_command(tmp_path):
     out = tmp_path / "m"
     assert run(["measure", "--beta", "golden", "--n", "12", "--m", "4",

@@ -264,6 +264,16 @@ def test_glue_guards():
         glue(ones_graph, ones_spec, 1, 1, ["1"])
 
 
+def test_glue_checks_M_and_L_before_the_words(monkeypatch):
+    walked = []
+    monkeypatch.setattr(decomposition, "walk",
+                        lambda *args: walked.append(args) or [0, 1])
+    for L, M, t in ((2, -1, None), (0, 4, None), (-3, 4, 2), (2, -1, 2)):
+        with pytest.raises(ValueError, match=r"^M >= 0 and L >= 1 required$"):
+            glue(GS, GOLDEN, L, M, ["2", "21"], t=t)
+    assert walked == []
+
+
 def test_glue_refuses_empty_word():
     with pytest.raises(ValueError, match="empty word"):
         glue(GS, GOLDEN, 2, 4, [()])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction as F
@@ -32,6 +33,11 @@ def test_x_language():
     assert in_x_language(word("1122"))
     assert not in_x_language(word("121"))
     assert not in_x_language(word("13"))
+    # membership is exactly x_language's list, on every word over 1..4
+    for n in range(1, 6):
+        members = set(x_language(n))
+        for w in itertools.product(range(1, 5), repeat=n):
+            assert in_x_language(w) == (w in members), w
 
 
 def test_build_case1():

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from negbeta import graph as graphmod, oracle
+from negbeta import language, oracle
 from negbeta.decomposition import c_count, t_gap
 from negbeta.errors import (PrefixTooShort, TruncationInsufficient,
                             TwoSidedUnsupported)
-from negbeta.graph import (_PRIME, _recurrence, build_graph,
-                           build_graph_for_spec, follower_equiv_check,
-                           gap_scan, k_of,
+from negbeta.graph import (build_graph, build_graph_for_spec,
+                           follower_equiv_check, gap_scan, k_of,
                            parse_bound_file, path_count, path_counts,
                            path_words, shortest_path_to_v0, walk)
-from negbeta.language import (ShiftSpec, _Track, count_words,
-                              derived_lower_bound, enumerate_words, iter_words)
+from negbeta.language import (_PRIME, ShiftSpec, _recurrence, _Track,
+                              count_words, derived_lower_bound,
+                              enumerate_words, iter_words)
 from negbeta.numeric import BetaValue
 from negbeta.order import EvPeriodicSeq, is_alt_shift_maximal, word
 
@@ -492,7 +492,7 @@ def test_recurrence_counts_match_dict_dp(monkeypatch):
         sizes.append((size, q is not None))
         return q
 
-    monkeypatch.setattr(graphmod, "_recurrence", spy)
+    monkeypatch.setattr(language, "_recurrence", spy)
     K = 200
     for b in FOLD_BOUNDS:
         g = build_graph(b, K)
@@ -527,9 +527,47 @@ def test_counts_without_certificate_continue_the_dp(monkeypatch):
         g = build_graph(b, 150)
         for start, floor in _count_pairs(*g.fold):
             cases.append((g, start, floor, path_counts(g, 150 - start, start, floor)))
-    monkeypatch.setattr(graphmod, "_recurrence", lambda terms, size: None)
+    monkeypatch.setattr(language, "_recurrence", lambda terms, size: None)
     for g, start, floor, certified in cases:
         assert path_counts(g, 150 - start, start, floor) == certified
+
+
+def _automaton_dp_counts(spec, nmax):
+    # word counts by a plain sparse DP over the automaton's successors
+    aut = language._Automaton(spec)
+    vec, counts = {aut.start: 1}, []
+    for _ in range(nmax):
+        nxt = {}
+        for state, c in vec.items():
+            for _a, t in aut.successors(state):
+                nxt[t] = nxt.get(t, 0) + c
+        vec = nxt
+        counts.append(sum(vec.values()))
+    return counts
+
+
+def test_word_counts_match_automaton_dp():
+    specs = [ShiftSpec.make(b) for b in FOLD_BOUNDS]
+    specs += [ShiftSpec.make(b, lower="derived")
+              for b in _odd_periodic_uppers(30, 20261020)]
+    specs += [ShiftSpec.from_beta(BetaValue.from_rational(b)) for b in (2, 3, 7)]
+    for spec in specs:
+        ref = _automaton_dp_counts(spec, 200)
+        assert [r["count_words"] for r in count_words(spec, 200).rows] == ref
+        for nmax in (1, 2, 17, 73):
+            assert [r["count_words"] for r in count_words(spec, nmax).rows] == ref[:nmax]
+
+
+def test_fold_back_edges_stay_low():
+    # the bound that the windows of gap_scan and _dist_to_v0 rest on: every
+    # non-spine edge of rows N .. N + 2P - 1 targets at most |pre| + P, and
+    # so falls below N - 1
+    for b in FOLD_BOUNDS:
+        N, P = _fold(b)
+        g = build_graph(b, N + 2 * P)
+        top = max((t for i in range(N, N + 2 * P)
+                   for a, t in g.out[i].items() if a != g.spine[i]), default=0)
+        assert top <= len(b.preperiod) + P <= N - 2, b
 
 
 def _full_dist(g):

@@ -193,6 +193,49 @@ def test_automaton_states_stop_growing_with_n(monkeypatch):
             assert counts[-1]["count_words"] == fib[1003] - 1
 
 
+def _closed_form_cases():
+    # golden: F(n+3) - 1 words of length n; an integer base b: (b+1) b^(n-1)
+    fib = [0, 1]
+    while len(fib) < 1004:
+        fib.append(fib[-1] + fib[-2])
+    yield GOLDEN, 1000, [fib[n + 3] - 1 for n in range(1, 1001)]
+    for b in (2, 3, 5):
+        spec = ShiftSpec.from_beta(BetaValue.from_rational(b))
+        assert spec.two_sided
+        yield spec, 300, [(b + 1) * b ** (n - 1) for n in range(1, 301)]
+
+
+def test_word_counts_follow_closed_forms(monkeypatch):
+    certified, recurrence = [], language._recurrence
+
+    def spy(terms, size):
+        q = recurrence(terms, size)
+        certified.append(q is not None)
+        return q
+
+    for spec, nmax, want in _closed_form_cases():
+        certified.clear()
+        monkeypatch.setattr(language, "_recurrence", spy)
+        assert [r["count_words"] for r in count_words(spec, nmax).rows] == want
+        # one check, and it certifies: the long tail comes from the recurrence
+        assert certified == [True]
+        monkeypatch.setattr(language, "_recurrence", lambda terms, size: None)
+        assert [r["count_words"] for r in count_words(spec, nmax).rows] == want
+        monkeypatch.setattr(language, "_recurrence", recurrence)
+
+
+def test_word_counts_refuse_past_the_prefix():
+    # the 64-digit prefix of 13/10 ties itself at length 64, so the count
+    # of length 65 needs its 65th digit; the recurrence does not hide that
+    spec = ShiftSpec.from_beta(BetaValue.from_rational(F(13, 10)))
+    assert spec.prefix_mode and len(spec.upper) == 64
+    assert count_words(spec, 64).rows[-1]["count_words"] > 0
+    for nmax in (65, 200, 1000):
+        with pytest.raises(SpecPrefixTooShort,
+                           match=r"^upper bound needed at index 65$"):
+            count_words(spec, nmax)
+
+
 def test_entropy_profile_trivial_rows():
     full = CountTable([{"n": n, "count_words": 2 ** n, "exact": True}
                        for n in range(1, 8)])
