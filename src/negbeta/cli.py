@@ -157,6 +157,8 @@ def _spec_of(args) -> ShiftSpec:
         return ShiftSpec.make(_bound_of_file(args))
     beta = _beta_of(args)
     if beta.label == "golden":
+        if args.horizon < 1:  # from_beta checks every other base
+            raise ValueError("horizon >= 1 required")
         return ShiftSpec.golden()
     return ShiftSpec.from_beta(beta, horizon=args.horizon,
                                prefix_len=_prefix_len(args))
@@ -287,7 +289,7 @@ def cmd_measure(args) -> int:
     gibbs = measures.gibbs_check(measure, gwords, h)
     weak = measures.weakstar_diagnostic(
         spec, [n for n in (args.n - 4, args.n - 2, args.n) if n >= args.m],
-        min(args.m, 3))
+        min(args.m, 3), measure)
     _emit_text(args, "weakstar.csv", weak.to_csv())
     path = _emit_json(args, "measure.json", {
         "measure": measure.to_json(),
@@ -301,7 +303,7 @@ def cmd_measure(args) -> int:
 def cmd_factor(args) -> int:
     beta = _beta_of(args)
     spec = _spec_of(args)
-    if args.horizon < 1:  # golden and --b-file specs leave it unchecked
+    if args.horizon < 1:  # --b-file specs leave it unchecked
         raise ValueError("horizon >= 1 required")
     # from_beta made the spec two-sided exactly when the expansion of 1 is
     # purely odd-periodic

@@ -23,7 +23,7 @@ from typing import Optional
 from .errors import (GlueFailed, NoLFound, NoSelfLoop, NotInGM,
                      TruncationInsufficient)
 from .graph import (GraphSlice, _dist_to_v0, _least_return, gap_scan,
-                    path_counts, path_words, walk)
+                    path_count, path_counts, path_words, walk)
 from .language import NO, ShiftSpec, _Automaton, periodic_block_ok
 from .order import Word, _primitive_root, word
 
@@ -37,8 +37,10 @@ def c_words(graph: GraphSlice, L: int, n: int) -> list[Word]:
 
 
 def c_count(graph: GraphSlice, L: int, n: int) -> int:
+    """Number of excursion words of length n for cutoff L: the paths that
+    `c_words` lists, counted by `graph.path_count`'s jump to length n - 1."""
     _check_c_args(graph, L, n)
-    return path_counts(graph, n - 1, L, L)[n - 1]
+    return path_count(graph, n - 1, L, L)
 
 
 def _check_c_args(graph: GraphSlice, L: int, n: int) -> None:

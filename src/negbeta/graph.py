@@ -18,19 +18,21 @@ fold; each of its rows comes from the track.
 
 The slice stores vertices 0..K only.  Operations never extrapolate: walks
 and counts that would leave the slice raise TruncationInsufficient, even
-where the fold would say what lies beyond.  Path counts (`path_counts`,
-which `path_count`, the excursion counts of `negbeta.decomposition` and its
-`bound_check` share) run on the slice folded at its verified period; on a
-slice with a fold that period is found among a window of rows whose length
-does not grow with n.  `language._walk_counts`, which `count_words` shares,
-counts the folded graph of `size` vertices by a certified linear
-recurrence, so a long sweep costs one sum of at most `size` products per
-length.  `path_words` walks the same edges, with the same floor, to list
-the words those counts count.  On a slice with a fold, `gap_scan` reads
-only the rows below N + n, n being its drop bound, and distances back to
-V_0 (`shortest_path_to_v0`, `decomposition.t_gap`) come from a search over
-a window of vertices set by the fold and the highest vertex asked about,
-not by K.
+where the fold would say what lies beyond.  Path counts (`path_counts` and
+`path_count`, which the excursion counts of `negbeta.decomposition` and its
+`bound_check` use) run on the slice folded at its verified period
+(`_folded`); on a slice with a fold that period is found among a window of
+rows whose length does not grow with n.  The language layer's walk-count
+kernel counts the folded graph of `size` vertices by a certified linear
+recurrence of order d <= size: a sweep (`_walk_counts`, which `count_words`
+shares) costs one sum of d products per length, and one count of length n
+(`_walk_count`) about log2(n) squarings modulo the recurrence.
+`path_words` walks the same edges, with the same floor, to list the words
+those counts count.  On a slice with a fold, `gap_scan` reads only the
+rows below N + n, n being its drop bound, and distances back to V_0
+(`shortest_path_to_v0`, `decomposition.t_gap`) come from a search over a
+window of vertices set by the fold and the highest vertex asked about, not
+by K.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from typing import Iterator, Optional
 
 from .errors import (PrefixTooShort, TruncationInsufficient,
                      TwoSidedUnsupported)
-from .language import (ShiftSpec, _lex_words, _Track, _walk_counts,
-                       follower_words, is_admissible)
+from .language import (ShiftSpec, _lex_words, _Track, _walk_count,
+                       _walk_counts, follower_words, is_admissible)
 from .order import (BoundSeq, EvPeriodicSeq, Word, _failure_table,
                     bound_len, word)
 
@@ -175,15 +177,27 @@ def walk(graph: GraphSlice, w, start: int = 0) -> Optional[list[int]]:
     return seq
 
 
-def path_count(graph: GraphSlice, n: int, start: int = 0) -> int:
-    """Number of length-n labelled paths from `start` (exact, big integers)."""
-    return path_counts(graph, n, start)[n]
+def path_count(graph: GraphSlice, n: int, start: int = 0, floor: int = 0) -> int:
+    """Number of length-n paths from V_start, using only edges into
+    vertices >= floor (exact, big integers): `path_counts(...)[n]`, found by
+    `language._walk_count`'s jump to length n on the same folded graph."""
+    s0, targets, size = _folded(graph, n, start, floor)
+    return _walk_count(s0, n, targets, size)
 
 
 def path_counts(graph: GraphSlice, nmax: int, start: int = 0,
                 floor: int = 0) -> list[int]:
     """Numbers of length-n paths from V_start for n = 0..nmax, using only
-    edges into vertices >= floor (exact, big integers).
+    edges into vertices >= floor (exact, big integers), counted by
+    `language._walk_counts` on the graph `_folded` returns."""
+    s0, targets, size = _folded(graph, nmax, start, floor)
+    return _walk_counts(s0, nmax, targets, size)
+
+
+def _folded(graph: GraphSlice, nmax: int, start: int, floor: int):
+    """(start, targets, size) of a graph of `size` vertices whose walks from
+    that start are counted as the length-n paths from V_start, n <= nmax,
+    with edges into vertices >= floor.
 
     Row v is the sorted multiset of the edge targets >= floor of V_v, with
     the spine edge written as the marker -1 so that rows can repeat.  When
@@ -197,7 +211,6 @@ def path_counts(graph: GraphSlice, nmax: int, start: int = 0,
     found there is at most c + P, and its period p holds on at least c + 2P
     of those P-periodic rows, which is p + P or more: by Fine-Wilf the rows
     from c on also have period gcd(p, P), so p holds on every later row.
-    `language._walk_counts` counts the folded graph.
     """
     if nmax < 0:
         raise ValueError(nmax)
@@ -207,7 +220,7 @@ def path_counts(graph: GraphSlice, nmax: int, start: int = 0,
         raise TruncationInsufficient(
             f"length-{nmax} paths from V_{start} can leave the K={graph.K} slice")
     if nmax == 0:
-        return [1]
+        return start, None, 0  # no step is taken
     m = start + nmax
     if graph.fold is not None:
         N, P = graph.fold
@@ -224,7 +237,7 @@ def path_counts(graph: GraphSlice, nmax: int, start: int = 0,
     adj = [[(v + 1 if v + 1 < size else j0) if t < 0 else t for t in row]
            for v, row in enumerate(rows[:size])]
     s0 = start if start < size else j0 + (start - j0) % (ell - f)
-    return _walk_counts(s0, nmax, adj.__getitem__, size)
+    return s0, adj.__getitem__, size
 
 
 def path_words(graph: GraphSlice, n: int, start: int = 0,

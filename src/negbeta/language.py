@@ -18,8 +18,9 @@ runs past it, "undetermined"; a periodic point is read through it until
 the state at a block boundary repeats.  The graph layer reuses its
 upper-bound track: its vertex V_k is the upper match length k.  Walks are
 counted, on the automaton (`count_words`) and on the graph layer's folded
-slices (`graph.path_counts`), by one kernel, `_walk_counts`, whose DP a
-certified linear recurrence cuts short.
+slices (`graph.path_counts`, `graph.path_count`), by one kernel whose DP a
+certified linear recurrence cuts short: `_walk_counts` extends the counts
+by the recurrence, `_walk_count` jumps to one length.
 
 The period-n blocks form rotation classes, so they are walked by necklace:
 the admissible prenecklaces are grown in lexicographic order
@@ -443,10 +444,11 @@ class CountTable:
         return buf.getvalue()
 
 
-def _walk_counts(start, nmax: int, targets, size: int) -> list[int]:
-    """Numbers of length-n walks from `start` for n = 0..nmax (exact, big
-    integers) in a graph of at most `size` states, where targets(v) lists
-    the targets of v's out-edges with multiplicity.
+def _walk_terms(start, nmax: int, targets, size: int):
+    """The shared part of `_walk_counts` and `_walk_count`: the counts of
+    length-n walks from `start` in a graph of at most `size` states, where
+    targets(v) lists the targets of v's out-edges with multiplicity, and
+    the recurrence they obey (None when none is certified).
 
     The counts are 1^T A^n e_start for the size x size matrix A, so by
     Cayley-Hamilton they satisfy a linear recurrence of order at most size
@@ -464,17 +466,61 @@ def _walk_counts(start, nmax: int, targets, size: int) -> list[int]:
     vec, counts = {start: 1}, [1]
     for k in range(1, nmax + 1):
         if k == 2 * size + 1 and (q := _recurrence(counts, size)) is not None:
-            d = len(q)
-            for j in range(k, nmax + 1):
-                counts.append(sum(map(mul, q, counts[j - d:j])))
-            break
+            return counts, q
         nxt: dict = {}
         for v, c in vec.items():
             for t in targets(v):
                 nxt[t] = nxt.get(t, 0) + c
         vec = nxt
         counts.append(sum(vec.values()))
+    return counts, None
+
+
+def _walk_counts(start, nmax: int, targets, size: int) -> list[int]:
+    """Numbers of length-n walks from `start` for n = 0..nmax (exact, big
+    integers): `_walk_terms`, extended one sum of d products per length."""
+    counts, q = _walk_terms(start, nmax, targets, size)
+    if q is not None:
+        d = len(q)
+        for j in range(len(counts), nmax + 1):
+            counts.append(sum(map(mul, q, counts[j - d:j])))
     return counts
+
+
+def _walk_count(start, n: int, targets, size: int) -> int:
+    """`_walk_counts(start, n, targets, size)[n]` without the counts
+    between: past the DP's 2·size lengths it jumps to length n.
+
+    The certified q holds for every k >= d, so chi(x) = x^d - sum(q[i] x^i)
+    applied to the shift E, (E c)_k = c_{k+1}, annihilates the counts.
+    Writing x^n = m(x) chi(x) + r(x) with deg r < d gives
+    c_n = (E^n c)_0 = (r(E) c)_0 = sum(r[i] c_i), and r costs about log2(n)
+    squarings modulo chi (Fiduccia 1985).
+    """
+    counts, q = _walk_terms(start, n, targets, size)
+    return counts[n] if q is None else sum(map(mul, _x_pow_mod(n, q), counts))
+
+
+def _x_pow_mod(n: int, q: list[int]) -> list[int]:
+    """Coefficients, constant first, of x^n modulo x^d - sum(q[i] x^i),
+    d = len(q) >= 1, by square-and-multiply over the bits of n."""
+    d = len(q)
+    r = [1] + [0] * (d - 1)
+    for bit in bin(n)[2:]:
+        s = [0] * (2 * d - 1)
+        for i, a in enumerate(r):
+            s[2 * i] += a * a
+            a += a
+            for k, b in enumerate(r[i + 1:], 2 * i + 1):
+                s[k] += a * b
+        if bit == "1":
+            s.insert(0, 0)
+        for k in range(len(s) - 1, d - 1, -1):
+            if c := s[k]:
+                for i, b in enumerate(q, k - d):
+                    s[i] += c * b
+        r = s[:d]
+    return r
 
 
 # A Mersenne prime for the lift below; a coefficient past 2^126 (a huge

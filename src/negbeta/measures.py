@@ -217,14 +217,20 @@ class WeakStarTable:
         return buf.getvalue()
 
 
-def weakstar_diagnostic(spec: ShiftSpec, ns: Sequence[int], m: int) -> WeakStarTable:
+def weakstar_diagnostic(spec: ShiftSpec, ns: Sequence[int], m: int,
+                        known: Optional[EmpiricalMeasure] = None) -> WeakStarTable:
     """Track cylinder masses along a list of orders; the successive maximum
-    deviations indicate (but do not prove) weak-star convergence."""
+    deviations indicate (but do not prove) weak-star convergence.  A known
+    mu_n(spec, n, m') with m' >= m gives the masses of order n."""
     tables = []
     used, skipped = [], []
     for n in ns:
         try:
-            tables.append(mu_n(spec, n, m))
+            if known is not None and known.n == n and known.m >= m:
+                tables.append(EmpiricalMeasure(n, m, known.per_count, {
+                    w: q for w, q in known.masses.items() if len(w) <= m}))
+            else:
+                tables.append(mu_n(spec, n, m))
             used.append(n)
         except EmptyPer:
             skipped.append(n)

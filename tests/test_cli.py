@@ -141,6 +141,31 @@ def test_glue_M_below_zero_exits_2(tmp_path, capsys):
     assert not (tmp_path / "g").exists()
 
 
+def test_golden_horizon_below_one_exits_2(tmp_path, capsys):
+    words = tmp_path / "w.txt"
+    words.write_text("2\n21\n")
+    for verb in (["graph", "--K", "4"], ["entropy"],
+                 ["glue", "--words-file", words], ["measure"]):
+        for beta in ("golden", "2", "13/10"):
+            out = tmp_path / f"{verb[0]}-{beta.replace('/', '_')}"
+            assert run([*verb, "--beta", beta, "--horizon", "0", "--out", out]) == 2
+            assert capsys.readouterr().err == "error: horizon >= 1 required\n"
+            assert not out.exists()
+
+
+def test_measure_walks_its_period_blocks_once(tmp_path, monkeypatch):
+    walked, per_points = [], measures.per_points
+
+    def spy(spec, n):
+        walked.append(n)
+        return per_points(spec, n)
+
+    monkeypatch.setattr(measures, "per_points", spy)
+    assert run(["measure", "--beta", "golden", "--n", "12", "--m", "4",
+                "--L", "2", "--out", tmp_path / "m"]) == 0
+    assert sorted(walked) == [8, 10, 12]
+
+
 def test_measure_command(tmp_path):
     out = tmp_path / "m"
     assert run(["measure", "--beta", "golden", "--n", "12", "--m", "4",

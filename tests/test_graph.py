@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from negbeta import graph as graph_mod
 from negbeta import language, oracle
 from negbeta.decomposition import c_count, t_gap
 from negbeta.errors import (PrefixTooShort, TruncationInsufficient,
@@ -530,6 +531,69 @@ def test_counts_without_certificate_continue_the_dp(monkeypatch):
     monkeypatch.setattr(language, "_recurrence", lambda terms, size: None)
     for g, start, floor, certified in cases:
         assert path_counts(g, 150 - start, start, floor) == certified
+
+
+def _jump_lengths(size, top):
+    # below, at and above the 2·size + 1 counts the DP reads, and the longest
+    return sorted({n for n in (1, 2 * size, 2 * size + 1, 2 * size + 2, top // 2, top)
+                   if 0 <= n <= top})
+
+
+def test_one_count_matches_the_sweep():
+    K = 1000
+    for b in FOLD_BOUNDS:
+        g = build_graph(b, K)
+        for start, floor in _count_pairs(*g.fold):
+            counts = path_counts(g, K - start, start, floor)
+            size = graph_mod._folded(g, K - start, start, floor)[2]
+            for n in _jump_lengths(size, K - start):
+                assert path_count(g, n, start, floor) == counts[n], (b, start, floor, n)
+                if start == floor >= 1:
+                    assert c_count(g, start, n + 1) == counts[n]
+
+
+def test_one_count_past_twenty_thousand():
+    fib = [0, 1]
+    while len(fib) < 20004:
+        fib.append(fib[-1] + fib[-2])
+    assert path_count(build_graph(GOLDEN.upper, 20001), 20000) == fib[20003] - 1
+
+
+def test_one_count_stops_the_dp_at_certification(monkeypatch):
+    # a certified count of length n > 2·size reads 2·size + 1 DP counts and
+    # takes no DP step after the certificate
+    events = []
+
+    def spy(terms, size):
+        q = _recurrence(terms, size)
+        events.append((len(terms), size, q is not None))
+        return q
+
+    def folded(*args):
+        s0, targets, size = real(*args)
+        return s0, lambda v: events.append("step") or targets(v), size
+
+    real = graph_mod._folded
+    monkeypatch.setattr(language, "_recurrence", spy)
+    monkeypatch.setattr(graph_mod, "_folded", folded)
+    for b in (GOLDEN.upper, FIG.upper, BRANCHY.upper) + tuple(FOLD_BOUNDS[::30]):
+        g = build_graph(b, 1000)
+        for start, floor in _count_pairs(*g.fold):
+            events.clear()
+            path_count(g, 1000 - start, start, floor)
+            [(terms, size, certified)] = [e for e in events if e != "step"]
+            assert certified and terms == 2 * size + 1
+            assert events[-1] == (terms, size, certified)
+
+
+def test_one_count_without_certificate_runs_the_dp(monkeypatch):
+    monkeypatch.setattr(language, "_recurrence", lambda terms, size: None)
+    for b in FOLD_BOUNDS[::10] + [GOLDEN.upper, BRANCHY.upper]:
+        g = build_graph(b, 150)
+        for start, floor in _count_pairs(*g.fold):
+            ref = _dict_dp_counts(g, 150 - start, start, floor)
+            for n in (0, 1, 150 - start):
+                assert path_count(g, n, start, floor) == ref[n]
 
 
 def _automaton_dp_counts(spec, nmax):

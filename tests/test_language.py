@@ -224,6 +224,23 @@ def test_word_counts_follow_closed_forms(monkeypatch):
         monkeypatch.setattr(language, "_recurrence", recurrence)
 
 
+def test_x_pow_mod_matches_linear_extension():
+    # integer recurrences with negative and zero coefficients, of order 1 up
+    for q in ([3], [-2], [0], [1], [1, 1], [0, 1], [-1, 0], [-1, 0, 2],
+              [2, 0, 0, -3], [0, 0, 0, 1], [5, -4, 0, 1, -1]):
+        d = len(q)
+        for first in ([1] * d, [(-3) ** i + i for i in range(d)]):
+            seq = list(first)
+            while len(seq) <= 200:
+                seq.append(sum(q[i] * seq[-d + i] for i in range(d)))
+            for n in range(201):
+                r = language._x_pow_mod(n, q)
+                assert len(r) == d
+                assert sum(a * c for a, c in zip(r, seq)) == seq[n], (q, n)
+                if n < d:  # x^n is its own remainder
+                    assert r == [int(i == n) for i in range(d)]
+
+
 def test_word_counts_refuse_past_the_prefix():
     # the 64-digit prefix of 13/10 ties itself at length 64, so the count
     # of length 65 needs its 65th digit; the recurrence does not hide that

@@ -153,6 +153,17 @@ def test_weakstar_table():
     assert csv_text.splitlines()[0] == "word,mu_8,mu_10,mu_12,mu_14"
 
 
+def test_weakstar_reads_a_known_measure():
+    fig = ShiftSpec.make(EvPeriodicSeq.make((), word("3232133")))
+    for spec, ns in ((GOLDEN, [8, 10, 12]), (fig, [6, 8])):
+        want = weakstar_diagnostic(spec, ns, 3)
+        for m in (3, 4, 5):
+            # an order outside ns, or too few cylinder lengths, is not read
+            for known in (mu_n(spec, ns[-1], m), mu_n(spec, ns[0], m),
+                          mu_n(spec, ns[-1], 2), mu_n(spec, 5, m)):
+                assert weakstar_diagnostic(spec, ns, 3, known) == want
+
+
 def test_weakstar_skips_empty(monkeypatch):
     import negbeta.measures as M
 
