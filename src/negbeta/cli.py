@@ -397,7 +397,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _TRUNCATION as exc:
         hint = (f" ({_prefix_hint(args)})"
-                if isinstance(exc, SpecPrefixTooShort) else "")
+                if isinstance(exc, (PrefixTooShort, SpecPrefixTooShort)) else "")
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 3
     except (VerificationFailure, GlueFailed, NoLFound) as exc:

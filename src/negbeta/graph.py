@@ -20,19 +20,19 @@ The slice stores vertices 0..K only.  Operations never extrapolate: walks
 and counts that would leave the slice raise TruncationInsufficient, even
 where the fold would say what lies beyond.  Path counts (`path_counts` and
 `path_count`, which the excursion counts of `negbeta.decomposition` and its
-`bound_check` use) run on the slice folded at its verified period
-(`_folded`); on a slice with a fold that period is found among a window of
-rows whose length does not grow with n.  The language layer's walk-count
-kernel counts the folded graph of `size` vertices by a certified linear
-recurrence of order d <= size: a sweep (`_walk_counts`, which `count_words`
-shares) costs one sum of d products per length, and one count of length n
-(`_walk_count`) about log2(n) squarings modulo the recurrence.
-`path_words` walks the same edges, with the same floor, to list the words
-those counts count.  On a slice with a fold, `gap_scan` reads only the
-rows below N + n, n being its drop bound, and distances back to V_0
-(`shortest_path_to_v0`, `decomposition.t_gap`) come from a search over a
-window of vertices set by the fold and the highest vertex asked about, not
-by K.
+`bound_check` use) run on the slice folded at the fold's period P
+(`_folded`), from the lowest row at or below max(N, floor) where the rows
+start to repeat; no row from max(N, floor) + P on is read.  The language
+layer's walk-count kernel counts the folded graph of `size` vertices by a
+certified linear recurrence of order d <= size: a sweep (`_walk_counts`,
+which `count_words` shares) costs one sum of d products per length, and
+one count of length n (`_walk_count`) about log2(n) squarings modulo the
+recurrence.  `path_words` walks the same edges, with the same floor, to
+list the words those counts count.  On a slice with a fold, `gap_scan`
+reads only the rows below N + n, n being its drop bound, and distances
+back to V_0 (`shortest_path_to_v0`, `decomposition.t_gap`) come from a
+search over a window of vertices set by the fold and the highest vertex
+asked about, not by K.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from .errors import (PrefixTooShort, TruncationInsufficient,
                      TwoSidedUnsupported)
 from .language import (ShiftSpec, _lex_words, _Track, _walk_count,
                        _walk_counts, follower_words, is_admissible)
-from .order import (BoundSeq, EvPeriodicSeq, Word, _failure_table,
-                    bound_len, word)
+from .order import BoundSeq, EvPeriodicSeq, Word, bound_len, word
 
 
 def k_of(bprefix: BoundSeq, w) -> int:
@@ -200,17 +199,18 @@ def _folded(graph: GraphSlice, nmax: int, start: int, floor: int):
     with edges into vertices >= floor.
 
     Row v is the sorted multiset of the edge targets >= floor of V_v, with
-    the spine edge written as the marker -1 so that rows can repeat.  When
-    the rows of V_j0 .. V_{start+nmax-1} (every vertex a counted path can
-    leave) have period p, counting on the vertices below j0 + p with the
-    spine out of V_{j0+p-1} bent back to V_j0 gives the same numbers.  j0 + p
-    is the least such size; an aperiodic slice keeps all start + nmax rows.
+    the spine edge written as the marker -1.  Counted paths leave only
+    V_0 .. V_{m-1}, m = start + nmax.  If row(v) = row(v + P) for
+    j0 <= v < m - P, counting on the vertices below j0 + P with the spine
+    out of V_{j0+P-1} bent back to V_j0 gives the same numbers: sending
+    V_v to V_{j0 + (v - j0) mod P} from j0 + P on keeps each row, whose
+    non-spine targets are at most v (the lemma at `language._Track`).
 
-    On a slice with a fold (N, P) the rows from c = max(N, floor) on have
-    period P, so only the first 2(c + P) rows are read.  The least size
-    found there is at most c + P, and its period p holds on at least c + 2P
-    of those P-periodic rows, which is p + P or more: by Fine-Wilf the rows
-    from c on also have period gcd(p, P), so p holds on every later row.
+    On a slice with a fold (N, P), `build_graph` gives V_{v+P} the
+    non-spine edges of V_v for v >= N, and spines from c = max(N, floor)
+    on end above the floor: rows from c on have period P.  j0 walks down
+    from c while row(j0 - 1) = row(j0 - 1 + P), reading no row from c + P
+    on.  Without a fold, or if c + P >= m, the m rows count as they are.
     """
     if nmax < 0:
         raise ValueError(nmax)
@@ -222,21 +222,20 @@ def _folded(graph: GraphSlice, nmax: int, start: int, floor: int):
     if nmax == 0:
         return start, None, 0  # no step is taken
     m = start + nmax
-    if graph.fold is not None:
-        N, P = graph.fold
-        m = min(m, 2 * (max(N, floor) + P))
+    N, P = graph.fold or (m, 0)  # without a fold no row is known to repeat
+    c = max(N, floor)
     rows = [tuple(sorted(-1 if t == v + 1 else t
                          for t in graph.out[v].values() if t >= floor))
-            for v in range(m)]
-    # A reversed prefix of length ell with border f is the suffix of the rows
-    # from j0 = m - ell with period ell - f: the folded size is m - f.
-    fail = _failure_table(rows[::-1])
-    f = max(fail)
-    ell = fail.index(f)
-    size, j0 = m - f, m - ell
+            for v in range(min(m, c + P))]
+    j0 = size = m  # V_m, past the rows, ends only a path's last step
+    if c + P < m:
+        j0 = c
+        while j0 and rows[j0 - 1] == rows[j0 - 1 + P]:
+            j0 -= 1
+        size = j0 + P
     adj = [[(v + 1 if v + 1 < size else j0) if t < 0 else t for t in row]
            for v, row in enumerate(rows[:size])]
-    s0 = start if start < size else j0 + (start - j0) % (ell - f)
+    s0 = start if start < size else j0 + (start - j0) % P
     return s0, adj.__getitem__, size
 
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import EmptyPer
-from .language import (CountTable, ShiftSpec, _Automaton, _per_count, count_words,
-                       per_points)
+from .language import (CountTable, ShiftSpec, _Automaton, _per_blocks,
+                       _per_count, count_words)
 from .order import Word, word
 
 
@@ -68,19 +69,18 @@ class EmpiricalMeasure:
 
 
 def mu_n(spec: ShiftSpec, n: int, m: int) -> EmpiricalMeasure:
-    """The order-n periodic-orbit measure with cylinders up to length m."""
+    """The order-n periodic-orbit measure with cylinders up to length m;
+    each rotation class of `_per_blocks` credits its k listed rotations."""
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
-    blocks = per_points(spec, n)
-    if not blocks:
+    N, hits = 0, Counter()
+    for w, k in _per_blocks(_Automaton(spec), n):
+        N, ww = N + k, w + w
+        hits.update(ww[i:i + ell] for i in range(k) for ell in range(1, m + 1))
+    if not N:
         raise EmptyPer(f"no period-{n} blocks")
-    N = len(blocks)
-    hits: dict[Word, int] = {}
-    for p in blocks:
-        for ell in range(1, m + 1):
-            w = p[:ell]
-            hits[w] = hits.get(w, 0) + 1
-    return EmpiricalMeasure(n, m, N, {w: Fraction(c, N) for w, c in hits.items()})
+    masses = {u: Fraction(c, N) for u, c in sorted(hits.items())}
+    return EmpiricalMeasure(n, m, N, masses)
 
 
 @dataclass

@@ -154,13 +154,13 @@ def test_golden_horizon_below_one_exits_2(tmp_path, capsys):
 
 
 def test_measure_walks_its_period_blocks_once(tmp_path, monkeypatch):
-    walked, per_points = [], measures.per_points
+    walked, per_blocks = [], measures._per_blocks
 
-    def spy(spec, n):
+    def spy(aut, n):
         walked.append(n)
-        return per_points(spec, n)
+        return per_blocks(aut, n)
 
-    monkeypatch.setattr(measures, "per_points", spy)
+    monkeypatch.setattr(measures, "_per_blocks", spy)
     assert run(["measure", "--beta", "golden", "--n", "12", "--m", "4",
                 "--L", "2", "--out", tmp_path / "m"]) == 0
     assert sorted(walked) == [8, 10, 12]
@@ -322,6 +322,23 @@ def test_prefix_too_short_names_the_certified_digits(tmp_path, capsys):
                 "--out", tmp_path / "f"]) == 3
     assert capsys.readouterr().err == (
         "error: upper bound needed at index 8 (the bound file gives 7 digits; "
+        "add digits to the file for more)\n")
+
+
+def test_slice_prefix_too_short_names_the_certified_digits(tmp_path, capsys):
+    # a slice that needs more bound digits than the prefix has gets the
+    # same hint as the automaton's refusal
+    assert run(["graph", "--beta", "13/10", "--K", "300",
+                "--out", tmp_path / "g"]) == 3
+    assert capsys.readouterr().err == (
+        "error: need 302 digits, have 256 (256 bound digits are certified, "
+        "the larger of --horizon and 64; raise --horizon for more)\n")
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("2 1 1 2 1 1 2\n")
+    assert run(["graph", "--b-file", bfile, "--K", "10",
+                "--out", tmp_path / "g"]) == 3
+    assert capsys.readouterr().err == (
+        "error: need 12 digits, have 7 (the bound file gives 7 digits; "
         "add digits to the file for more)\n")
 
 

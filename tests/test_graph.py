@@ -233,8 +233,8 @@ def test_folded_counts_match_dict_dp(graph, data):
 @given(_periodic_bounds(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_capped_window_counts_past_the_fold(upper, data):
-    # floors and starts past max(N, floor) + 2P, with paths long enough that
-    # path_counts reads only its capped window of rows
+    # floors, and starts past max(N, floor) + 2P that path_counts maps into
+    # the fold's period, reading no row from max(N, floor) + P on
     graph = build_graph(upper, 1000)
     N, P = graph.fold
     floor = data.draw(st.integers(0, N + 4 * P + 20))
@@ -481,8 +481,10 @@ def test_build_graph_track_work_does_not_grow_with_K(monkeypatch):
 
 def _count_pairs(N, P):
     # (start, floor) as path_count, bound_check (L - 1, L) and the
-    # excursion counts (L, L) use them, for L = 2 and L = N + P
-    return [(0, 0), (1, 2), (2, 2), (N + P - 1, N + P), (N + P, N + P)]
+    # excursion counts (L, L) use them, for L = 2, L = N (where the fold's
+    # walk-down starts at the floor) and L = N + P
+    return [(0, 0), (1, 2), (2, 2), (N - 1, N), (N, N), (N + P - 1, N + P),
+            (N + P, N + P)]
 
 
 def test_recurrence_counts_match_dict_dp(monkeypatch):

@@ -167,12 +167,12 @@ def test_weakstar_reads_a_known_measure():
 def test_weakstar_skips_empty(monkeypatch):
     import negbeta.measures as M
 
-    real = M.per_points
+    real = M._per_blocks
 
-    def fake(spec, n):
-        return [] if n == 5 else real(spec, n)
+    def fake(aut, n):
+        return iter(()) if n == 5 else real(aut, n)
 
-    monkeypatch.setattr(M, "per_points", fake)
+    monkeypatch.setattr(M, "_per_blocks", fake)
     table = weakstar_diagnostic(GOLDEN, [4, 5, 6], 3)
     assert table.skipped == [5]
     assert table.ns == [4, 6]
@@ -180,7 +180,7 @@ def test_weakstar_skips_empty(monkeypatch):
 
 def test_mu_empty_per(monkeypatch):
     import negbeta.measures as M
-    monkeypatch.setattr(M, "per_points", lambda spec, n: [])
+    monkeypatch.setattr(M, "_per_blocks", lambda aut, n: iter(()))
     with pytest.raises(EmptyPer):
         mu_n(GOLDEN, 4, 2)
 
