@@ -7,7 +7,8 @@ bound).  Every output file embeds the run configuration and a format
 version; identical configurations produce byte-identical outputs.  JSON
 files hold the bytes of json.dumps(doc, indent=2, sort_keys=True,
 default=str) plus a newline; every scalar and key is written by the
-stdlib's C encoder.
+stdlib's C encoder, except that a list of table rows holding only ints
+is written by one %d format.
 
 Exit codes: 2 invalid input, 3 truncation, precision exhausted or an
 enumeration over its cap, 4 verification failure.  A refusal for a bound
@@ -27,7 +28,9 @@ import sys
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
+from operator import itemgetter
 from pathlib import Path
+from typing import Optional
 
 from . import decomposition, factors, graph as graphmod, language, measures
 from .errors import (AmbiguousDigit, EnumerationCapExceeded, GlueFailed,
@@ -80,8 +83,44 @@ def _key(k) -> str:
         f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-def _scalars(values) -> bool:
-    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+def _scalars(types) -> bool:
+    return not any(issubclass(t, _CONTAINERS) for t in set(types))
+
+
+def _table(o, inner: str) -> Optional[str]:
+    """The items of the list o as `_dumps` writes them, inner being their
+    lines' newline and indent, when o's items are plain dicts with one
+    non-empty set of str keys and scalar values (table rows); None
+    otherwise.
+
+    One % call formats every row: %d when every value is an exact int,
+    else %s with the values' C-encoded texts, which one C call writes with
+    the separator ",<NUL>".  ensure_ascii escapes every NUL in a string,
+    so the separators are the only NULs in that text.
+    """
+    first = o[0]
+    # rows of one length holding every key of the first row hold no other
+    if not (set(map(type, o)) == {dict} and first
+            and all(map(isinstance, first, repeat(str)))
+            and set(map(len, o)) == {len(first)}):
+        return None
+    keys = sorted(first)
+    get = itemgetter(*keys)
+    try:
+        values = (list(map(get, o)) if len(keys) == 1
+                  else list(chain.from_iterable(map(get, o))))
+    except KeyError:
+        return None
+    types = set(map(type, values))
+    if not _scalars(types):
+        return None
+    spec = "%d"
+    if types != {int}:
+        spec, values = "%s", _c_encode(values, "\0")[1:-1].split(",\0")
+    field = inner + _INDENT
+    row = "{" + field + ("," + field).join(
+        [_quote(k).replace("%", "%%") + ": " + spec for k in keys]) + inner + "}"
+    return ("," + inner).join(repeat(row, len(o))) % tuple(values)
 
 
 def _dumps(o, nl: str = "\n") -> str:
@@ -90,10 +129,8 @@ def _dumps(o, nl: str = "\n") -> str:
 
     Every scalar goes through the stdlib's C encoder: a lone scalar or key
     is one C call, and so is a container of scalars, whose item separator
-    carries the newline and indent.  So is a list of non-empty
-    scalar-valued dicts (table rows): ensure_ascii escapes every control
-    character, so the only "},<newline>{" in its text falls between two
-    rows, where one replace moves the braces onto their own lines.
+    carries the newline and indent.  A list of table rows is one C call
+    and one % call (`_table`).
     """
     if not isinstance(o, _CONTAINERS):
         return _c_encode(o, nl)
@@ -101,19 +138,16 @@ def _dumps(o, nl: str = "\n") -> str:
         return "{}" if isinstance(o, dict) else "[]"
     inner = nl + _INDENT
     if isinstance(o, dict):
-        if _scalars(o.values()):
+        if _scalars(map(type, o.values())):
             return "{" + inner + _c_encode(o, inner)[1:-1] + nl + "}"
         body = [_key(k) + ": " + _dumps(v, inner) for k, v in sorted(o.items())]
         return "{" + inner + ("," + inner).join(body) + nl + "}"
-    if _scalars(o):
+    if _scalars(map(type, o)):
         return "[" + inner + _c_encode(o, inner)[1:-1] + nl + "]"
-    if (all(map(isinstance, o, repeat(dict))) and all(o)
-            and _scalars(chain.from_iterable(map(dict.values, o)))):
-        field = inner + _INDENT
-        rows = _c_encode(o, field)[2:-2].replace(
-            "}," + field + "{", inner + "}," + inner + "{" + field)
-        return "[" + inner + "{" + field + rows + inner + "}" + nl + "]"
-    return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in o]) + nl + "]"
+    table = _table(o, inner)
+    if table is None:
+        table = ("," + inner).join([_dumps(v, inner) for v in o])
+    return "[" + inner + table + nl + "]"
 
 
 def _emit_json(args, name: str, payload: dict) -> Path:
@@ -186,17 +220,26 @@ def _slice_K(args, default: int) -> int:
 
 def cmd_expand(args) -> int:
     beta = _beta_of(args)
-    got = expand(beta, Fraction(1), args.n)
-    cls = classify_d1(beta, args.horizon)
+    if args.n < 1:  # before the walk, which may be longer than n
+        raise ValueError("n >= 1 required")
+    # one walk of the orbit of 1: its first n digits are the expansion and
+    # its first horizon digits the classification's (an integer base's
+    # needs none)
+    integral = beta.is_exact and beta.exact.denominator == 1
+    steps = args.n if integral else max(args.n, args.horizon)
+    walk = expand(beta, Fraction(1), steps)
+    digits = walk.digits[: args.n]
+    cls = classify_d1(beta, args.horizon, known=walk.digits)
     # an interval base's classification holds its certified prefix of
     # length horizon, which is all golden_test would expand
     golden = (golden_test(beta, horizon=args.horizon) if beta.is_exact
               else golden_test_prefix(beta, cls.digits))
     payload = {
         "beta": beta.describe(),
-        "digits": "".join(map(str, got.digits)),
-        "certified": got.certified,
-        "status": list(got.status),
+        "digits": "".join(map(str, digits)),
+        "certified": len(digits),
+        "status": (["complete"] if len(digits) == args.n
+                   else ["precision_exhausted", len(digits)]),
         "classification": {"kind": cls.kind, "period": cls.period,
                            "preperiod": cls.preperiod},
         "golden_test": golden,

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import (GlueFailed, NoLFound, NoSelfLoop, NotInGM,
                      TruncationInsufficient)
-from .graph import (GraphSlice, _dist_to_v0, _least_return, gap_scan,
+from .graph import (GraphSlice, _dist_to_v0, _least_return, _rows, gap_scan,
                     path_count, path_counts, path_words, walk)
 from .language import NO, ShiftSpec, _Automaton, periodic_block_ok
 from .order import Word, _primitive_root, word
@@ -155,8 +155,8 @@ def bound_check(graph: GraphSlice, L: int, N: int, qmax: int) -> BoundReport:
     a1s = path_counts(graph, window, L - 1, L)
     scan = gap_scan(graph, N)
     far_ok = scan is not None and scan <= L
-    monotone_ok = all(graph.out[u].get(graph.spine[u]) == u + 1
-                      for u in range(L, graph.K))
+    monotone_ok = all(row.get(graph.spine[u]) == j + 1
+                      for u, row, j in _rows(graph, L, graph.K))
     rows = []
     for q in range(2, qmax + 1):
         n = q * N + 1

@@ -11,10 +11,14 @@ The edges come from the upper-bound track of the suffix-match automaton in
 
 For an eventually periodic bound the rows repeat: the track is folded at
 (N, P) (the lemma at `language._Track`: rows repeat with period P from N on,
-spine edges moving up), so a slice takes V_0..V_{N+P-1} from the track and
-copies every higher row from the row P below it; building V_0..V_K runs the
-track a fixed number of times whatever K is.  A finite bound prefix has no
-fold; each of its rows comes from the track.
+spine edges moving up), so a slice stores V_0..V_{N+P-1} from the track and
+serves every higher row on demand as the row P below it with its spine edge
+moved up (`_Rows`); building V_0..V_K costs N + P rows whatever K is.  The
+walkers read rows through `_row` (one vertex) and `_rows` (a range), which
+map a served vertex into the fold without building its row.  A finite
+bound prefix has no fold; each of its rows comes from the track.  The
+exports emit rows in source order, each sorted on its own, since a row's
+spine edge is its top edge.
 
 The slice stores vertices 0..K only.  Operations never extrapolate: walks
 and counts that would leave the slice raise TruncationInsufficient, even
@@ -29,7 +33,7 @@ which `count_words` shares) costs one sum of d products per length, and
 one count of length n (`_walk_count`) about log2(n) squarings modulo the
 recurrence.  `path_words` walks the same edges, with the same floor, to
 list the words those counts count.  On a slice with a fold, `gap_scan`
-reads only the rows below N + n, n being its drop bound, and distances
+reads only the rows below N + n - 1, n being its drop bound, and distances
 back to V_0 (`shortest_path_to_v0`, `decomposition.t_gap`) come from a
 search over a window of vertices set by the fold and the highest vertex
 asked about, not by K.
@@ -37,7 +41,10 @@ asked about, not by K.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, cycle, islice
 from typing import Iterator, Optional
 
 from .errors import (PrefixTooShort, TruncationInsufficient,
@@ -73,13 +80,58 @@ def k_of(bprefix: BoundSeq, w) -> int:
     return state
 
 
+class _Rows(Sequence):
+    """The out-rows of V_0 .. V_K on a slice with a fold (N, P), K >= N + P:
+    the track's rows of V_0 .. V_{N+P-1} are stored, and a row i >= N + P
+    is served on each access as a new dict, the row j = N + (i - N) mod P
+    with its spine edge b_{j+1} -> j + 1 moved to i + 1 (dropped at V_K).
+    It reads as the tuple of every row would: by length, index, slice,
+    iteration and ==."""
+
+    __slots__ = ("head", "top", "N", "P", "K", "spine")
+
+    def __init__(self, head: tuple, N: int, P: int, K: int, spine: Word):
+        self.head, self.top, self.N, self.P = head, len(head), N, P
+        self.K, self.spine = K, spine
+
+    def __len__(self) -> int:
+        return self.K + 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(self.K + 1))))
+        if i < 0:
+            i += self.K + 1
+        if not 0 <= i <= self.K:
+            raise IndexError("row index out of range")
+        if i < self.top:
+            return self.head[i]
+        j = self.N + (i - self.N) % self.P
+        row = dict(self.head[j])
+        if i == self.K:
+            del row[self.spine[j]]
+        else:
+            row[self.spine[j]] = i + 1
+        return row
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _Rows)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 @dataclass(frozen=True)
 class GraphSlice:
-    """Vertices 0..K of the presentation with all in-slice edges."""
+    """Vertices 0..K of the presentation with all in-slice edges.
+
+    `out` reads as a tuple of K + 1 dicts label -> target, one per vertex,
+    the spine edge from V_K omitted.  On a slice with a fold and K >= N + P
+    it is a `_Rows`, which stores N + P of them and builds the others on
+    access; walkers read rows through `_row` and `_rows` instead."""
 
     K: int
     spine: Word            # b_1 .. b_{K+1}: spine[i] labels V_i -> V_{i+1}
-    out: tuple             # per vertex: dict label -> target (spine from V_K omitted)
+    out: Sequence[dict[int, int]]
     alphabet: int
     # (N, P) of the bound's fold: rows >= N repeat with period P; None for
     # the slice of a finite bound prefix
@@ -88,29 +140,31 @@ class GraphSlice:
     @property
     def complete(self) -> tuple:
         """Per vertex: all out-edges present in the slice (all but V_K)."""
-        return tuple(i < self.K for i in range(self.K + 1))
+        return (True,) * self.K + (False,)
 
     @property
     def edges(self) -> list[tuple[int, int, int]]:
-        es = []
-        for src, table in enumerate(self.out):
-            for label, dst in table.items():
-                es.append((src, dst, label))
-        es.sort()
-        return es
+        """(src, dst, label) of every edge, in increasing order: rows in
+        source order, each sorted on its own.  A row's spine edge, into
+        v + 1, is its top edge, so a served row is sorted as the stored row
+        it is read from."""
+        rows = list(_rows(self, 0, self.K + 1))
+        order = {j: row for _, row, j in rows}
+        order = {j: sorted(zip(row.values(), row)) for j, row in order.items()}
+        return [(v, v + 1 if t > j else t, a)
+                for v, row, j in rows for t, a in order[j]]
 
     def spine_label(self, i: int) -> int:
         return self.spine[i]
 
     def to_dot(self) -> str:
-        lines = ["digraph slice {", "  rankdir=LR;"]
-        for i in range(self.K + 1):
-            shape = "circle" if i < self.K else "doublecircle"
-            lines.append(f'  V{i} [shape={shape}];')
-        for src, dst, label in self.edges:
-            lines.append(f'  V{src} -> V{dst} [label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        edges = self.edges
+        return ("digraph slice {\n  rankdir=LR;\n"
+                + "  V%d [shape=circle];\n" * self.K % tuple(range(self.K))
+                + "  V%d [shape=doublecircle];\n" % self.K
+                + '  V%d -> V%d [label="%d"];\n' * len(edges)
+                % tuple(chain.from_iterable(edges))
+                + "}\n")
 
     def to_json(self) -> dict:
         return {
@@ -120,6 +174,40 @@ class GraphSlice:
             "complete": list(self.complete),
             "edges": [{"src": s, "dst": d, "label": l} for s, d, l in self.edges],
         }
+
+
+def _row(graph: GraphSlice, v: int) -> tuple[dict[int, int], int]:
+    """(row, j): the out-edges of V_v are those of row, but that row's only
+    edge above j, its spine edge into j + 1, is V_v's spine edge into
+    v + 1 (every other edge of a row falls to at most its own vertex).  A
+    served row of a `_Rows` is read from its stored row j, with no dict
+    built; otherwise j = v."""
+    out = graph.out
+    if type(out) is _Rows:
+        if v < out.top:
+            return out.head[v], v
+        if v < out.K:
+            j = out.N + (v - out.N) % out.P
+            return out.head[j], j
+    return out[v], v
+
+
+def _rows(graph: GraphSlice, lo: int,
+          hi: int) -> Iterator[tuple[int, dict[int, int], int]]:
+    """(v, row, j) with `_row`'s (row, j) of V_v for v = lo .. hi - 1,
+    read in bulk: the served rows below V_K cycle through the stored rows
+    N .. N + P - 1."""
+    out, vs = graph.out, range(lo, hi)
+    if type(out) is not _Rows:
+        return zip(vs, out[lo:hi], vs)
+    if hi <= out.top:
+        return zip(vs, out.head[lo:hi], vs)
+    mid, end = max(lo, min(hi, out.top)), max(lo, min(hi, out.K))
+    phase = (mid - out.N) % out.P
+    js = [*range(lo, mid), *islice(cycle(range(out.N, out.top)), phase,
+                                   phase + end - mid)]
+    rows = zip(vs, map(out.head.__getitem__, js), js)
+    return rows if end == hi else chain(rows, [(out.K, out[out.K], out.K)])
 
 
 def build_graph(b: BoundSeq, K: int) -> GraphSlice:
@@ -136,16 +224,20 @@ def build_graph(b: BoundSeq, K: int) -> GraphSlice:
     if track.finite:
         spine, fold, top = tuple(b[: K + 1]), None, K + 1
     else:
-        spine, fold, top = b.prefix(K + 1), (track.N, track.P), track.N + track.P
-    out: list[dict[int, int]] = []
-    for i in range(K + 1):
+        spine, fold = b.prefix(K + 1), (track.N, track.P)
+        top = min(K + 1, track.N + track.P)
+    head: list[dict[int, int]] = []
+    for i in range(top):
         # the track's row of N + P - 1 sends its spine to the folded N
-        row = track.row(i, spine[0]) if i < top else dict(out[i - track.P])
+        row = track.row(i, spine[0])
         row[spine[i]] = i + 1
-        if i == K:
-            del row[spine[i]]  # the spine edge from V_K leaves the slice
-        out.append(row)
-    return GraphSlice(K, spine, tuple(out), spine[0], fold)
+        head.append(row)
+    if top <= K:
+        out: Sequence[dict[int, int]] = _Rows(tuple(head), *fold, K, spine)
+    else:
+        del head[K][spine[K]]  # the spine edge from V_K leaves the slice
+        out = tuple(head)
+    return GraphSlice(K, spine, out, spine[0], fold)
 
 
 def build_graph_for_spec(spec: ShiftSpec, K: int) -> GraphSlice:
@@ -164,9 +256,10 @@ def walk(graph: GraphSlice, w, start: int = 0) -> Optional[list[int]]:
     cur = start
     seq = [cur]
     for a in w:
-        table = graph.out[cur]
-        if a in table:
-            cur = table[a]
+        row, j = _row(graph, cur)
+        if a in row:
+            t = row[a]
+            cur = cur + 1 if t > j else t
         elif cur == graph.K and a == graph.spine_label(cur):
             raise TruncationInsufficient(
                 f"walk leaves the slice at V_{cur} on digit {a}")
@@ -224,9 +317,10 @@ def _folded(graph: GraphSlice, nmax: int, start: int, floor: int):
     m = start + nmax
     N, P = graph.fold or (m, 0)  # without a fold no row is known to repeat
     c = max(N, floor)
-    rows = [tuple(sorted(-1 if t == v + 1 else t
-                         for t in graph.out[v].values() if t >= floor))
-            for v in range(min(m, c + P))]
+    # the spine edge, into j + 1 in row, ends at v + 1
+    rows = [tuple(sorted(-1 if t > j else t for t in row.values()
+                         if t >= floor or t > j and v >= floor - 1))
+            for v, row, j in _rows(graph, 0, min(m, c + P))]
     j0 = size = m  # V_m, past the rows, ends only a path's last step
     if c + P < m:
         j0 = c
@@ -250,8 +344,17 @@ def path_words(graph: GraphSlice, n: int, start: int = 0,
     if start + n > graph.K:
         raise TruncationInsufficient(
             f"length-{n} paths from V_{start} can leave the K={graph.K} slice")
-    return _lex_words(start, n, lambda v: [
-        (label, t) for label, t in sorted(graph.out[v].items()) if t >= floor])
+    ordered: dict[int, list] = {}  # stored row j -> its edges by label
+
+    def children(v):
+        row, j = _row(graph, v)
+        pairs = ordered.get(j)
+        if pairs is None:
+            pairs = ordered[j] = sorted(row.items())
+        return [(label, u) for label, t in pairs
+                if (u := v + 1 if t > j else t) >= floor]
+
+    return _lex_words(start, n, children)
 
 
 def shortest_path_to_v0(graph: GraphSlice, i: int) -> tuple[int, Word]:
@@ -273,8 +376,9 @@ def _least_return(graph: GraphSlice, dist: list[Optional[int]],
     labels: list[int] = []
     cur = i
     while cur != 0:
-        for label in sorted(graph.out[cur]):
-            dst = graph.out[cur][label]
+        row, j = _row(graph, cur)
+        for label in sorted(row):
+            dst = cur + 1 if row[label] > j else row[label]
             if dst < len(dist) and dist[dst] == dist[cur] - 1:
                 labels.append(label)
                 cur = dst
@@ -289,14 +393,14 @@ def _dist_to_v0(graph: GraphSlice, upto: int) -> list[Optional[int]]:
     for every vertex on a shortest path from one of them (None: no path).
 
     On a slice with a fold (N, P) the search runs only on the vertices
-    below W = min(K + 1, max(upto - 1, N + P) + P), and the table has W
+    below W = min(K + 1, max(upto - 1, N) + P), and the table has W
     entries.  A path from V_i, i < upto, that climbs to some
-    h >= max(i, N + P) + P passed V_{h-P}, since edges climb by at most
-    one, and after its last visit there it climbed the spine to V_h: every
-    vertex between is at least N + P + 1, and its non-spine edges fall
-    below N + P.  From V_h it falls to some
-    V_t on a non-spine edge.  Rows from N + P copy the row P below them,
-    with the same spine label, so V_{h-P} has that edge too, with the same
+    h >= max(i, N) + P passed V_{h-P}, since edges climb by at most one,
+    and after its last visit there it climbed the spine to V_h: every
+    vertex between is at least N, and its non-spine edges fall below
+    N - 1 (the lemma at `language._Track`).  From V_h it falls to some
+    V_t on a non-spine edge.  Rows from N on repeat with period P, with
+    the same spine label, so V_{h-P} has that edge too, with the same
     label, and the path is P steps longer than the one that takes it
     there.  So every shortest path from such a V_i stays below W, and
     distances, refusals and the least return word are those of the whole
@@ -305,10 +409,12 @@ def _dist_to_v0(graph: GraphSlice, upto: int) -> list[Optional[int]]:
     top = graph.K + 1
     if graph.fold is not None:
         N, P = graph.fold
-        top = min(top, max(upto - 1, N + P) + P)
+        top = min(top, max(upto - 1, N) + P)
     radj: list[list[int]] = [[] for _ in range(top)]
-    for src, table in enumerate(graph.out[:top]):
-        for dst in table.values():
+    for src, row, j in _rows(graph, 0, top):
+        for dst in row.values():
+            if dst > j:
+                dst = src + 1
             if dst < top and (src != dst or dst == 0):
                 radj[dst].append(src)
     dist: list[Optional[int]] = [None] * top
@@ -332,18 +438,21 @@ def gap_scan(graph: GraphSlice, N: int) -> Optional[int]:
     The answer is certified only within the slice; higher vertices are not
     inspected.
 
-    On a slice with a fold (N_f, P) only the rows below N_f + N are read.
-    By the lemma at `language._Track` every non-spine edge of a row
+    On a slice with a fold (N_f, P) only the rows below N_f + N - 1 are
+    read.  By the lemma at `language._Track` every non-spine edge of a row
     i >= N_f targets a vertex at most |pre| + P <= N_f - 2, |pre| being
-    the bound's preperiod.  Hence a source at N_f + N or above drops by
+    the bound's preperiod.  Hence a source at N_f + N - 1 or above drops by
     more than N on every non-spine edge and climbs by one on its spine
     edge: it cannot violate.  A slice without a fold scans every row.
     """
     if N < 1:
         raise ValueError("N >= 1 required")
-    rows = graph.out if graph.fold is None else graph.out[: graph.fold[0] + N]
-    violators = [src for src, table in enumerate(rows)
-                 for dst in table.values() if 0 <= src - dst <= N]
+    top = graph.K + 1
+    if graph.fold is not None:
+        top = min(top, graph.fold[0] + N - 1)
+    # a spine edge, into j + 1 in row, climbs and cannot violate
+    violators = [src for src, row, j in _rows(graph, 0, top)
+                 for dst in row.values() if 0 <= src - dst <= N and dst <= j]
     if not violators:
         return 0
     L = max(violators) + 1

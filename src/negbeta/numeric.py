@@ -318,15 +318,21 @@ def _d1_cycle(beta: BetaValue, horizon: int) -> Optional[Word]:
     return None
 
 
-def classify_d1(beta: BetaValue, horizon: int) -> D1Classification:
+def classify_d1(beta: BetaValue, horizon: int,
+                known: Optional[Word] = None) -> D1Classification:
     """Classify the expansion of 1 by the lemma at `_d1_cycle`: an integer
     base is periodic_odd without walking its orbit; any other base walks
-    horizon steps for its no_cycle digits."""
+    horizon steps for its no_cycle digits.  A known certified prefix of
+    the expansion of 1, from a walk of at least horizon steps
+    (`expand(beta, ONE, m).digits`, m >= horizon), replaces the walk: its
+    first horizon digits are the walk's, since `expand` certifies only
+    digits that every finer precision keeps."""
     cycle = _d1_cycle(beta, horizon)
     if cycle is not None:
         return D1Classification("periodic_odd", 1, 0, horizon, cycle)
-    return D1Classification("no_cycle", None, None, horizon,
-                            expand(beta, ONE, horizon).digits)
+    if known is None:
+        known = expand(beta, ONE, horizon).digits
+    return D1Classification("no_cycle", None, None, horizon, known[:horizon])
 
 
 GOLDEN_UPPER = EvPeriodicSeq.make((2,), (1,))

@@ -1,11 +1,13 @@
+import hashlib
 import json
+import shutil
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from negbeta import cli, measures
+from negbeta import cli, measures, numeric
 from negbeta.cli import main
 from negbeta.numeric import BetaValue, golden_test
 
@@ -25,6 +27,24 @@ def test_expand_and_determinism(tmp_path):
     first = (out / "expand.json").read_bytes()
     assert run(["expand", "--beta", "13/10", "--n", "20", "--out", out]) == 0
     assert (out / "expand.json").read_bytes() == first
+
+
+def test_expand_walks_the_orbit_once(tmp_path, monkeypatch):
+    # the expansion's 30 digits are the first of the classification's 256
+    steps = []
+    orbit = numeric._orbit
+
+    def counted(*args, **kwargs):
+        for step in orbit(*args, **kwargs):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(numeric, "_orbit", counted)
+    assert run(["expand", "--beta", "13/10", "--n", "30", "--out", tmp_path]) == 0
+    assert len(steps) == 256
+    doc = json.loads((tmp_path / "expand.json").read_text())
+    assert doc["digits"] == "".join(str(d) for d, *_ in steps[:30])
+    assert doc["certified"] == 30 and doc["status"] == ["complete"]
 
 
 def test_expand_golden_test_field_on_golden(tmp_path):
@@ -83,6 +103,44 @@ def test_graph_count_length_below_one_exits_2(tmp_path, capsys):
                 "--out", out]) == 0
     report = json.loads((out / "graph_report.json").read_text())
     assert report["path_counts"] == [2]
+
+
+# SHA-256 of every file that the long-slice benchmark's four graph verbs
+# and the README's two graph examples write, run in one directory with
+# relative paths, since every file embeds its configuration
+GRAPH_DIGESTS = {
+    "graph --beta golden --K 2000 --n 40 --format json": {
+        "graph.json": "334122c9be9594711b667cc4d9bd4b33d7e800fa384902406a04c1eb1d0353fe",
+        "graph_report.json": "b67d035126a74039b2cd731e9f3a8beddf834d261b107e60bedf247f829e89b5"},
+    "graph --b-file figure.txt --K 1000 --n 40 --format dot": {
+        "graph.dot": "9c806c0d034ba1f22591d3b6608cdaabc1e9f3030c1bfc13a804aad03986ed97",
+        "graph_report.json": "8eefcbdca782de4584d75774582f1ca2f125c8c73d563ddd5510ea9bf1bb9332"},
+    "graph --b-file branchy.txt --K 1000 --n 40 --format json": {
+        "graph.json": "188a59db155e22f5cd80de5f81a647ac28f9918f496c699b5f687d6e50df1c13",
+        "graph_report.json": "35ab907934cd4873d3bda32f960f147bffe49d8607f3927d36aaac2e816b8e9b"},
+    "graph --b-file seeded0.txt --K 1000 --n 40 --format dot": {
+        "graph.dot": "31f0315c7d3b84765da37286e123c6c770f71de70117770cad09502843060bc3",
+        "graph_report.json": "6d26f5a9157231db92d575fa9333f55355157c93144aad0675943f3068225497"},
+    "graph --beta golden --K 12 --format dot": {
+        "graph.dot": "89c7c6a6d26c5fb246cfde7fac1f8fa913efa8fd6ea777e776660affeeb7eeea",
+        "graph_report.json": "fa96413441ba28363ba248e1abfd5f760b3d3e0654dd4637a3423e730e25fdbc"},
+    "graph --b-file bound.txt --K 10": {
+        "graph.dot": "b3f7b514445be515acae6b4012d37182d490ebbb887cb03b58d7793b03c1dd05",
+        "graph_report.json": "16383f3ad586b8cb04cf61b6ec843d8b9cfe7748a5cd82fbc9538a182c37b897"},
+}
+
+
+def test_graph_output_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in (("figure", "| 3 2 3 2 1 3 3"),
+                       ("branchy", "| 3 1 2 3 1 1 1 3 1 2"),
+                       ("seeded0", "2 | 1 1 1 2 1"), ("bound", "| 3 2 3 2 1 3 3")):
+        Path(f"{name}.txt").write_text(text + "\n")
+    for line, digests in GRAPH_DIGESTS.items():
+        shutil.rmtree("out", ignore_errors=True)
+        assert main(line.split() + ["--out", "out"]) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in Path("out").iterdir()} == digests, line
 
 
 def test_graph_from_bound_file(tmp_path):

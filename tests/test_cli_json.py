@@ -34,11 +34,19 @@ def dicts(values):
             | st.dictionaries(st.integers(), values, max_size=5))
 
 
+def tables(values):
+    # rows over one key set, as the writer's table branch formats them
+    return st.lists(texts, min_size=1, max_size=4, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, values)),
+                              min_size=1, max_size=5))
+
+
 docs = st.recursive(
     scalars,
     lambda inner: st.one_of(
         st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
-        dicts(inner), st.lists(dicts(scalars), max_size=5)),
+        dicts(inner), st.lists(dicts(scalars), max_size=5),
+        tables(scalars), tables(st.integers()), tables(inner)),
     max_leaves=30)
 
 
@@ -55,6 +63,20 @@ def test_writer_edge_cases():
                 {2.5: [0], -1: [], 0.5: 1}, [{-0.0: 1}, {math.inf: 2}],
                 [Fraction(1, 3), -0.0, 10 ** 50, math.inf, -math.inf]):
         assert cli._dumps(doc) == oracle(doc)
+    # table rows: one % call over their values
+    for doc in ([{"%d": 1, "a%%": 2, "%": 3}, {"%d": 4, "a%%": 5, "%": 6}],
+                [{"%s": "%d", "b": "%"}, {"%s": "x", "b": 1.5}],
+                [{"a": True, "b": 1}, {"a": 1, "b": False}], [{"a": 1}, {"a": True}],
+                [{"a": 10 ** 51, "b": -10 ** 60}, {"a": 1, "b": 2}],
+                [{"a": math.nan, "b": -0.0}, {"a": math.inf, "b": 0}],
+                [{"a": Fraction(1, 3)}, {"a": Fraction(-2, 7)}, {"a": 3}],
+                [{"a": "\x00", "b": ",\x00"}, {"a": "x,\x00y", "b": "},\n{"}],
+                [{"k": 1}, {"k": 2}], [{"k": "s"}], [{"k": None}, {"k": 2.5}],
+                [{"a": 1, "b": 2}, {"a": 1, "c": 2}], [{"a": 1}, {"a": 1, "b": 2}],
+                [{"a": 1, "b": 2}, {1: 1, 2: 2}], [{1: 1}, {1: 2}],
+                [{"a": 1}, {"a": [1]}], [{"a": 1}, {}], [{"a": 1}, 2],
+                ({"a": 1, "b": 2}, {"b": 3, "a": 4})):
+        assert cli._dumps(doc) == oracle(doc), doc
     with pytest.raises(TypeError):
         cli._dumps({"a": [1], (1, 2): 3})
 

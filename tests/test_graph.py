@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -410,13 +411,104 @@ def _fold(b):
 def test_build_graph_matches_per_vertex_build():
     for b in FOLD_BOUNDS:
         N, P = _fold(b)
-        for K in (0, 1, N + P - 1, N + P, N + P + 1, 300):
+        for K in (0, 1, N + P - 1, N + P, N + P + 1, 300, 1000):
             g = build_graph(b, K)
             assert list(g.out) == _per_vertex_build(b, K)
             assert g.spine == b.prefix(K + 1) and g.alphabet == b.digit(1)
             assert g.complete == tuple(i < K for i in range(K + 1))
             assert g.fold == (N, P)
     assert build_graph(word("3232133"), 5).fold is None
+
+
+def _tuple_rows(g):
+    # the same slice with every row held in a plain tuple, which the
+    # walkers read row by row instead of through the fold
+    h = dataclasses.replace(g, out=tuple(g.out))
+    assert type(h.out) is tuple and h == g and h.out == g.out == h.out
+    return h
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except TruncationInsufficient as exc:
+        return str(exc)
+
+
+def test_served_rows_read_as_tuple_rows():
+    rng = random.Random(20261020)
+    K = 120
+    for b in FOLD_BOUNDS:
+        g = build_graph(b, K)
+        h = _tuple_rows(g)
+        N, P = g.fold
+        assert g.out[N + P:K + 1:7] == h.out[N + P:K + 1:7]
+        assert g.out[-1] == h.out[-1] and g.out[K] == h.out[K]
+        for start, floor in _count_pairs(N, P) + [(K - 3, 0)]:
+            n = min(4, K - start)
+            words = list(path_words(g, n, start, floor))
+            assert words == list(path_words(h, n, start, floor))
+            assert path_counts(g, K - start, start, floor) == \
+                path_counts(h, K - start, start, floor)
+            for w in words[:20] + [tuple(rng.randint(1, g.alphabet) for _ in range(9))
+                                   for _ in range(5)]:
+                assert _outcome(walk, g, w, start) == _outcome(walk, h, w, start)
+        for i in range(K + 1):
+            assert _outcome(shortest_path_to_v0, g, i) == \
+                _outcome(shortest_path_to_v0, h, i)
+        for n in (1, 2, 3, 4, 7, P + 1):
+            assert gap_scan(g, n) == gap_scan(h, n)
+
+
+def test_build_cost_does_not_grow_with_K(monkeypatch):
+    rows = []
+    row = _Track.row
+
+    def counted(self, k, alphabet):
+        rows.append(k)
+        return row(self, k, alphabet)
+
+    monkeypatch.setattr(_Track, "row", counted)
+    K = 10 ** 6
+    g = build_graph(GOLDEN.upper, K)
+    N, P = g.fold
+    assert rows == list(range(N + P)) and len(g.out) == K + 1
+    # rows from N + P on follow the rule: the row N + (i - N) mod P with
+    # its spine edge moved to i + 1, and dropped at V_K
+    j = N + (K - 1 - N) % P
+    assert g.out[K - 1] == {**g.out[j], g.spine[j]: K}
+    assert g.out[K] == {a: t for a, t in g.out[N + (K - N) % P].items()
+                        if a != g.spine[K]}
+    assert walk(g, (1,) * 10, K - 10)[-1] == K
+
+
+def _fstring_dot(g):
+    # a reference writer: every edge in one global sort, and one f-string
+    # per line
+    edges = sorted((src, dst, label) for src, row in enumerate(g.out)
+                   for label, dst in row.items())
+    assert g.edges == edges
+    lines = ["digraph slice {", "  rankdir=LR;"]
+    for i in range(g.K + 1):
+        shape = "circle" if i < g.K else "doublecircle"
+        lines.append(f'  V{i} [shape={shape}];')
+    for src, dst, label in edges:
+        lines.append(f'  V{src} -> V{dst} [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_dot_matches_the_per_line_writer():
+    for b in FOLD_BOUNDS:
+        N, P = _fold(b)
+        for K in (0, 1, N + P - 1, N + P, N + P + 1, 300):
+            g = build_graph(b, K)
+            assert g.to_dot() == _fstring_dot(g)
+    spec = ShiftSpec.from_beta(BetaValue.parse("13/10"), horizon=300,
+                               prefix_len=300)
+    for K in (40, 250):
+        g = build_graph_for_spec(spec, K)
+        assert g.fold is None and g.to_dot() == _fstring_dot(g)
 
 
 def _full_gap_scan(g, n):
@@ -448,7 +540,7 @@ def test_walk_on_copied_rows_matches_oracle():
     for b in few:
         spec = ShiftSpec.make(b)
         N, P = _fold(b)
-        head = b.prefix(N + P)  # walks from V_{N+P} read copied rows only
+        head = b.prefix(N + P)  # walks from V_{N+P} read served rows only
         g = build_graph(b, N + P + 12)
         bprefix = b.prefix(N + P + 13)
         for n in range(1, 9):
