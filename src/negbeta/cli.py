@@ -37,8 +37,7 @@ from .errors import (AmbiguousDigit, EnumerationCapExceeded, GlueFailed,
                      HorizonExhausted, NegBetaError, NoLFound, PrefixTooShort,
                      SpecPrefixTooShort, TruncationInsufficient)
 from .language import ShiftSpec, count_words, entropy_profile
-from .numeric import (BetaValue, classify_d1, expand, golden_test,
-                      golden_test_prefix)
+from .numeric import BetaValue, _d1_cycle, expand, golden_test, golden_test_prefix
 
 FORMAT_VERSION = "negbeta/1"
 
@@ -222,26 +221,29 @@ def cmd_expand(args) -> int:
     beta = _beta_of(args)
     if args.n < 1:  # before the walk, which may be longer than n
         raise ValueError("n >= 1 required")
-    # one walk of the orbit of 1: its first n digits are the expansion and
-    # its first horizon digits the classification's (an integer base's
-    # needs none)
-    integral = beta.is_exact and beta.exact.denominator == 1
-    steps = args.n if integral else max(args.n, args.horizon)
-    walk = expand(beta, Fraction(1), steps)
-    digits = walk.digits[: args.n]
-    cls = classify_d1(beta, args.horizon, known=walk.digits)
-    # an interval base's classification holds its certified prefix of
-    # length horizon, which is all golden_test would expand
-    golden = (golden_test(beta, horizon=args.horizon) if beta.is_exact
-              else golden_test_prefix(beta, cls.digits))
+    # by the lemma at `_d1_cycle` the classification needs no walk, and an
+    # exact base's golden test is an integer test, so an exact base walks
+    # the n digits printed; an interval base walks the orbit of 1 once, its
+    # first n digits the expansion and its first horizon digits the
+    # certified prefix that golden_test_prefix reads
+    cycle = _d1_cycle(beta, args.horizon)
+    if beta.is_exact:
+        digits = expand(beta, Fraction(1), args.n).digits
+        golden = golden_test(beta, horizon=args.horizon)
+    else:
+        walk = expand(beta, Fraction(1), max(args.n, args.horizon)).digits
+        digits = walk[: args.n]
+        golden = golden_test_prefix(beta, walk[: args.horizon])
     payload = {
         "beta": beta.describe(),
         "digits": "".join(map(str, digits)),
         "certified": len(digits),
         "status": (["complete"] if len(digits) == args.n
                    else ["precision_exhausted", len(digits)]),
-        "classification": {"kind": cls.kind, "period": cls.period,
-                           "preperiod": cls.preperiod},
+        "classification": (
+            {"kind": "no_cycle", "period": None, "preperiod": None}
+            if cycle is None else
+            {"kind": "periodic_odd", "period": len(cycle), "preperiod": 0}),
         "golden_test": golden,
     }
     path = _emit_json(args, "expand.json", payload)

@@ -4,13 +4,17 @@ The map is x -> -bx + floor(bx) + 1 on (0, 1], extended by 0 -> 1.  Bases
 are exact rationals (preferred: every orbit value is an exact Fraction) or
 real intervals refined on demand, e.g. the golden ratio.  Every orbit runs
 on one integer-numerator kernel, `_orbit`: exact bases and intervals alike.
-Exact bases are never rounded.  `expand` on a refinable interval base
-first tries each precision with enclosures rounded outward onto a fixed
-dyadic denominator; rounding only widens an enclosure, so a digit it
-decides is the digit the exact enclosure decides (the lemma at `_orbit`).
-Only when no precision finishes does it run the exact orbit, once, at
-the top precision, and report its certified prefix.  Interval results
-are only reported when an enclosure determines them.  Each question
+Exact bases are never rounded, and an exact base and point run one
+integer track, since their enclosure is a point.  `expand` on a
+refinable interval base first tries each precision with enclosures
+rounded outward onto a fixed dyadic denominator; rounding only widens an
+enclosure, so a digit it decides is the digit the exact enclosure
+decides (the lemma at `_orbit`).  When no precision finishes, a run
+rounded inward at the top precision that fails where the outward run
+failed shows that the exact orbit fails there too; only when it does not
+does the exact orbit run, once, at the top precision.  Either way the
+exact run's certified prefix is reported.  Interval results are only
+reported when an enclosure determines them.  Each question
 about the orbit of 1 walks it at most once: `classify_d1` knows the one
 cycle there is (that of an integer base, by the lemma at `_d1_cycle`)
 without walking, `golden_test` decides an exact base by an integer test
@@ -162,18 +166,20 @@ def _check_unit(x: UnitPoint, allow_zero: bool) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _orbit(beta: BetaValue, x: UnitPoint,
-           round_bits: Optional[int] = None) -> Iterator[tuple[int, int, int, int]]:
+def _orbit(beta: BetaValue, x: UnitPoint, round_bits: Optional[int] = None,
+           inward: bool = False) -> Iterator[tuple[int, int, int, int]]:
     """The orbit of x under the map, one (digit, lo, hi, den) per step.
 
     The point after the step lies in [lo/den, hi/den]: the enclosure that
     Fraction interval arithmetic gives, unreduced over one shared
     denominator, which gains the factor lcm(beta's denominators) per step.
-    Without round_bits nothing is rounded; exact beta and x keep lo == hi.
-    With round_bits = W the start and every step are rounded outward onto
-    the fixed denominator 2^W (floor for lo, ceiling for hi), so the
-    integers stay O(W + bits) long.  Raises AmbiguousDigit once the
-    enclosure straddles a cell boundary.
+    Without round_bits nothing is rounded; exact beta and x keep lo == hi,
+    and then one track is computed.  With round_bits = W every step is
+    rounded onto the fixed denominator 2^W, so the integers stay O(W +
+    bits) long: outward (floor for lo, ceiling for hi, the start too), or,
+    with inward set, inward (ceiling for lo, floor for hi, the start left
+    exact), and then the orbit ends once the enclosure turns empty.
+    Raises AmbiguousDigit once the enclosure straddles a cell boundary.
     """
     # Lemma: every digit that the rounded run emits is the digit that the
     # exact run (round_bits None, same beta and x) emits at that step.
@@ -187,26 +193,60 @@ def _orbit(beta: BetaValue, x: UnitPoint,
     # d - blo*e] lies in [d - bhi*s, d - blo*r], whose low end is > 0
     # since d > bhi*s, and rounding outward onto 2^W only widens it.  So
     # the exact run raises AmbiguousDigit no earlier than the rounded one.
+    #
+    # Inward half: the exact run raises AmbiguousDigit no later than an
+    # inward run that stays non-empty.  Let I_t = [r, s] be the inward
+    # enclosure, r <= s.  While the exact run decides, I_t lies in E_t:
+    # at t = 0 they are equal, and from e <= r <= s <= f, (2) gives blo*e
+    # <= blo*r <= bhi*s <= bhi*f, so a digit d that E_t decides is I_t's
+    # too, [d - bhi*s, d - blo*r] lies in [d - bhi*f, d - blo*e], and
+    # rounding inward only shrinks it.  If I_t straddles a boundary,
+    # floor(blo*r) < floor(bhi*s), then so does E_t, by the same chain.
+    # So an outward and an inward run failing at one step t bracket the
+    # exact run, which fails there too, with the outward run's digits.
+    #
+    # Exact beta and x: lo == hi and alo == ahi at the start, so the two
+    # products alo*lo and ahi*hi are equal at every step, and so are the
+    # next lo and hi; the one track computes one product and one division,
+    # and skips the straddle test, which compares equal quotients.
     xlo, xhi = _check_unit(x, allow_zero=False)
     blo, bhi = beta.bounds()
     c = math.lcm(blo.denominator, bhi.denominator)
     alo, ahi = int(blo * c), int(bhi * c)
     den = math.lcm(xlo.denominator, xhi.denominator)
     lo, hi = int(xlo * den), int(xhi * den)
+    one = round_bits is None and alo == ahi and lo == hi
     if round_bits is not None:
         unit = 1 << round_bits
-        lo, hi, den = lo * unit // den, -(-hi * unit // den), unit
+        if inward:
+            # the start unrounded, over den * 2^W: den stays 2^W times an
+            # integer, so each step can round onto 2^W
+            lo, hi, den = lo * unit, hi * unit, den * unit
+        else:
+            lo, hi, den = lo * unit // den, -(-hi * unit // den), unit
     while True:
+        # d = q + 1 for q = floor(alo*lo / den), and d*den - (q*den + r) =
+        # den - r: the next numerators are den minus the remainders
         den *= c
-        tlo, thi = alo * lo, ahi * hi
-        d = tlo // den + 1
-        if thi // den + 1 != d:
-            raise AmbiguousDigit(beta.bits)
-        lo, hi = d * den - thi, d * den - tlo
-        if round_bits is not None:
-            # den = 2^W * c, so rounding onto 2^W divides by c
-            lo, hi, den = lo // c, -(-hi // c), unit
-        yield d, lo, hi, den
+        q, r = divmod(alo * lo, den)
+        if one:
+            lo = hi = den - r
+        else:
+            qhi, rhi = divmod(ahi * hi, den)
+            if qhi != q:
+                raise AmbiguousDigit(beta.bits)
+            lo, hi = den - rhi, den - r
+            if round_bits is not None:
+                # den = 2^W * k, so rounding onto 2^W divides by k (k = c
+                # after the first step)
+                k, den = den >> round_bits, unit
+                if inward:
+                    lo, hi = -(-lo // k), hi // k
+                    if lo > hi:
+                        return
+                else:
+                    lo, hi = lo // k, -(-hi // k)
+        yield q + 1, lo, hi, den
 
 
 def step(beta: BetaValue, x: UnitPoint) -> tuple[int, UnitPoint]:
@@ -250,6 +290,18 @@ def _refine(best: list[int], orbit: Iterator[tuple[int, int, int, int]],
     return digits
 
 
+def _fails_at(orbit: Iterator[tuple[int, int, int, int]], n: int) -> Optional[int]:
+    """The step at which the orbit raises AmbiguousDigit within n steps;
+    None if it decides n digits or ends first (turns empty)."""
+    t = 0
+    try:
+        for t, _ in enumerate(islice(orbit, n), 1):
+            pass
+    except AmbiguousDigit:
+        return t
+    return None
+
+
 def expand(beta: BetaValue, x: UnitPoint, n: int, max_bits: int = 4096) -> CertifiedDigits:
     """First n expansion digits of x.
 
@@ -257,9 +309,16 @@ def expand(beta: BetaValue, x: UnitPoint, n: int, max_bits: int = 4096) -> Certi
     base doubles its precision from beta.bits up to max_bits, running the
     orbit rounded outward onto 2^(bits + _ROUND_GUARD), and returns at the
     first level that certifies all n digits (the exact digits of that
-    level, by the lemma at `_orbit`).  If none does, the exact orbit runs
-    once at the top level, and its certified prefix is reported with an
-    exhausted status.  Refiner-less intervals run only that exact orbit.
+    level, by the lemma at `_orbit`).  If none does, the orbit runs once
+    more at the top level, rounded inward onto the same grid: when it
+    fails at the step where the top level's outward run failed, the exact
+    run fails there too (the inward half of the lemma at `_orbit`), and
+    the outward run's prefix is reported with an exhausted status at that
+    step, in time linear in the steps.  Otherwise (the inward run turned
+    empty or failed later) the exact orbit runs once at the top level, at
+    a cost quadratic in the steps, and its certified prefix is reported
+    with an exhausted status.  Refiner-less intervals run only that exact
+    orbit.
 
     Refiner intervals must be nested: refiner(2b) lies in refiner(b).
     The argument of the lemma at `_orbit`, with the previous level's base
@@ -273,12 +332,16 @@ def expand(beta: BetaValue, x: UnitPoint, n: int, max_bits: int = 4096) -> Certi
     bits, best = beta.bits, []
     if beta.exact is None and beta.refiner is not None:
         while True:
-            best = _refine(best, _orbit(beta.with_bits(bits), x, bits + _ROUND_GUARD), n)
+            top = beta.with_bits(bits)
+            best = _refine(best, _orbit(top, x, bits + _ROUND_GUARD), n)
             if len(best) == n:
                 return CertifiedDigits(tuple(best), n, ("complete",))
             if bits >= max_bits:
                 break
             bits *= 2
+        if _fails_at(_orbit(top, x, bits + _ROUND_GUARD, inward=True), n) == len(best):
+            return CertifiedDigits(tuple(best), len(best),
+                                   ("precision_exhausted", len(best)))
     got = _refine(best, _orbit(beta.with_bits(bits), x), n)
     status = ("complete",) if len(got) == n else ("precision_exhausted", len(got))
     return CertifiedDigits(tuple(got), len(got), status)
@@ -318,21 +381,17 @@ def _d1_cycle(beta: BetaValue, horizon: int) -> Optional[Word]:
     return None
 
 
-def classify_d1(beta: BetaValue, horizon: int,
-                known: Optional[Word] = None) -> D1Classification:
+def classify_d1(beta: BetaValue, horizon: int) -> D1Classification:
     """Classify the expansion of 1 by the lemma at `_d1_cycle`: an integer
     base is periodic_odd without walking its orbit; any other base walks
-    horizon steps for its no_cycle digits.  A known certified prefix of
-    the expansion of 1, from a walk of at least horizon steps
-    (`expand(beta, ONE, m).digits`, m >= horizon), replaces the walk: its
-    first horizon digits are the walk's, since `expand` certifies only
-    digits that every finer precision keeps."""
+    horizon steps for its no_cycle digits.  A caller that needs only the
+    kind, period and preperiod reads them off `_d1_cycle`, which walks
+    nothing (as `negbeta expand` does)."""
     cycle = _d1_cycle(beta, horizon)
     if cycle is not None:
         return D1Classification("periodic_odd", 1, 0, horizon, cycle)
-    if known is None:
-        known = expand(beta, ONE, horizon).digits
-    return D1Classification("no_cycle", None, None, horizon, known[:horizon])
+    return D1Classification("no_cycle", None, None, horizon,
+                            expand(beta, ONE, horizon).digits)
 
 
 GOLDEN_UPPER = EvPeriodicSeq.make((2,), (1,))

@@ -30,7 +30,8 @@ def test_expand_and_determinism(tmp_path):
 
 
 def test_expand_walks_the_orbit_once(tmp_path, monkeypatch):
-    # the expansion's 30 digits are the first of the classification's 256
+    # an exact base's classification and golden test need no walk: the
+    # orbit is walked for the 30 digits printed, once
     steps = []
     orbit = numeric._orbit
 
@@ -41,10 +42,27 @@ def test_expand_walks_the_orbit_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(numeric, "_orbit", counted)
     assert run(["expand", "--beta", "13/10", "--n", "30", "--out", tmp_path]) == 0
-    assert len(steps) == 256
+    assert len(steps) == 30
     doc = json.loads((tmp_path / "expand.json").read_text())
-    assert doc["digits"] == "".join(str(d) for d, *_ in steps[:30])
+    assert doc["digits"] == "".join(str(d) for d, *_ in steps)
     assert doc["certified"] == 30 and doc["status"] == ["complete"]
+
+
+@pytest.mark.parametrize("n, horizon", [(30, 100), (300, 100)])
+def test_expand_walks_an_interval_base_once(tmp_path, monkeypatch, n, horizon):
+    # golden's classification reads the first horizon digits of the one walk
+    calls = []
+
+    def counted(beta, x, steps):
+        calls.append(steps)
+        return numeric.expand(beta, x, steps)
+
+    monkeypatch.setattr(cli, "expand", counted)
+    assert run(["expand", "--beta", "golden", "--n", n, "--horizon", horizon,
+                "--out", tmp_path]) == 0
+    assert calls == [max(n, horizon)]
+    doc = json.loads((tmp_path / "expand.json").read_text())
+    assert doc["digits"] == "2" + "1" * (n - 1) and doc["status"] == ["complete"]
 
 
 def test_expand_golden_test_field_on_golden(tmp_path):
@@ -63,6 +81,19 @@ def test_expand_golden_deep(tmp_path):
     assert run(["expand", "--beta", "golden", "--n", "2000", "--out", out]) == 0
     doc = json.loads((out / "expand.json").read_text())
     assert doc["digits"] == "2" + "1" * 1999 and doc["certified"] == 2000
+
+
+@pytest.mark.parametrize("args, status", [
+    (["--n", "5", "--horizon", "100000"], ["complete"]),
+    (["--n", "10000"], ["precision_exhausted", 5901])])
+def test_expand_golden_past_the_ladder(tmp_path, args, status):
+    # the 4096-bit ladder certifies 5901 digits, and the inward bracket
+    # ends the walk there in linear time
+    t0 = time.perf_counter()
+    assert run(["expand", "--beta", "golden", *args, "--out", tmp_path]) == 0
+    assert time.perf_counter() - t0 < 60
+    doc = json.loads((tmp_path / "expand.json").read_text())
+    assert doc["status"] == status and doc["golden_test"] == "at_or_above"
 
 
 def test_graph_outputs(tmp_path):

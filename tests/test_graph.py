@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -20,7 +21,7 @@ from negbeta.language import (_PRIME, ShiftSpec, _recurrence, _Track,
                               count_words, derived_lower_bound,
                               enumerate_words, iter_words)
 from negbeta.numeric import BetaValue
-from negbeta.order import EvPeriodicSeq, is_alt_shift_maximal, word
+from negbeta.order import EvPeriodicSeq, alt_cmp_seq, is_alt_shift_maximal, word
 
 GOLDEN = ShiftSpec.golden()
 FIG = ShiftSpec.make(EvPeriodicSeq.make((), word("3232133")))
@@ -194,11 +195,16 @@ def _dict_dp_counts(graph, nmax, start, floor):
 
 @st.composite
 def _periodic_bounds(draw):
+    # the largest shift of a drawn eventually periodic sequence, in the
+    # alternating order: its shifts are shifts of the drawn sequence, so it
+    # dominates them, and every valid bound is its own largest shift
     alphabet = draw(st.integers(2, 4))
     digits = st.integers(1, alphabet)
-    upper = EvPeriodicSeq.make(draw(st.lists(digits, max_size=4)),
-                               draw(st.lists(digits, min_size=1, max_size=8)))
-    assume(is_alt_shift_maximal(upper).status == "yes")
+    seq = EvPeriodicSeq.make(draw(st.lists(digits, max_size=4)),
+                             draw(st.lists(digits, min_size=1, max_size=8)))
+    upper = max(map(seq.shift, range(len(seq.preperiod) + len(seq.period))),
+                key=functools.cmp_to_key(alt_cmp_seq))
+    assert is_alt_shift_maximal(upper).status == "yes"
     return upper
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction as F
 from itertools import islice
 
@@ -193,12 +194,13 @@ def test_golden_long_orbit():
 
 def _reference_orbit(beta, x, n, max_bits=4096):
     """Fraction interval arithmetic one step at a time, with the precision
-    doubling of expand; returns (CertifiedDigits, last enclosure)."""
+    doubling of expand; returns (CertifiedDigits, the enclosure after each
+    step), the enclosures None unless all n digits are certified."""
     bits, best = beta.bits, []
     while True:
         blo, bhi = beta.with_bits(bits).bounds()
         xlo, xhi = (x.lo, x.hi) if isinstance(x, IntervalValue) else (F(x), F(x))
-        digits, failed_at = [], None
+        digits, path, failed_at = [], [], None
         for i in range(n):
             tlo, thi = blo * xlo, bhi * xhi
             d = math.floor(tlo) + 1
@@ -207,8 +209,9 @@ def _reference_orbit(beta, x, n, max_bits=4096):
                 break
             digits.append(d)
             xlo, xhi = d - thi, d - tlo
+            path.append((xlo, xhi))
         if failed_at is None:
-            return CertifiedDigits(tuple(digits), n, ("complete",)), (xlo, xhi)
+            return CertifiedDigits(tuple(digits), n, ("complete",)), path
         if len(digits) > len(best):
             best = digits
         if bits >= max_bits or beta.refiner is None:
@@ -244,6 +247,21 @@ def _dyadic_beta(v, bits):
     return BetaValue(lo=lo, hi=hi, bits=bits, refiner=refine)
 
 
+def _degenerate_refiner_base(v, bits):
+    # a refiner that returns the exact value: the outward ladder exhausts,
+    # and the inward enclosure of a point off the grid is empty at once
+    return BetaValue(lo=v, hi=v, bits=bits, refiner=lambda b: (v, v))
+
+
+def _narrow_beta(v, extra):
+    # dyadic enclosures 2^extra times narrower than the precision level:
+    # for extra near _ROUND_GUARD the rounding is as wide as the enclosure,
+    # and the outward and inward runs fail at different steps
+    inner = _dyadic_beta(v, 8 + extra)
+    return BetaValue(lo=inner.lo, hi=inner.hi, bits=8,
+                     refiner=lambda b: inner.refiner(b + extra))
+
+
 _unit = st.builds(F, st.integers(1, 30), st.integers(1, 30)).filter(lambda f: f <= 1)
 _exact_bases = st.builds(lambda q, k: BetaValue.from_rational(F(q + 1 + k % (3 * q), q)),
                          st.integers(1, 12), st.integers(0, 35))
@@ -263,15 +281,15 @@ _points = st.one_of(_unit, st.builds(lambda a, b: IntervalValue(min(a, b), max(a
 def test_orbit_kernel_matches_fraction_reference(beta, x, n, max_bits):
     assert expand(beta, x, n, max_bits=max_bits) == _reference_orbit(beta, x, n, max_bits)[0]
     assert classify_d1(beta, n) == _reference_classify(beta, n)
-    first, enclosure = _reference_orbit(beta, x, 1, max_bits=beta.bits)
-    if enclosure is None:
+    first, path = _reference_orbit(beta, x, 1, max_bits=beta.bits)
+    if path is None:
         with pytest.raises(AmbiguousDigit):
             step(beta, x)
         return
     exact = beta.is_exact and not isinstance(x, IntervalValue)
     d, nxt = step(beta, x)
     assert d == first.digits[0] and isinstance(nxt, F) == exact
-    assert nxt == (enclosure[0] if exact else IntervalValue(*enclosure))
+    assert nxt == (path[0][0] if exact else IntervalValue(*path[0]))
 
 
 def _certified_steps(orbit, n):
@@ -311,6 +329,8 @@ def test_rounded_orbit_encloses_exact_orbit(beta, x, w, n):
 @example(BetaValue.golden(16), F(1), 200, 32)
 @example(BetaValue.golden(24), F(2, 3), 300, 64)
 @example(_dyadic_beta(F(7, 3), 4), IntervalValue(F(1, 3), F(1, 3)), 400, 8)
+@example(_narrow_beta(F(13, 10), 30), F(1), 200, 16)   # the runs disagree
+@example(_narrow_beta(F(13, 10), 30), F(1, 3), 200, 16)
 @settings(max_examples=40, deadline=None)
 def test_expand_matches_fraction_reference_at_depth(beta, x, n, max_bits):
     # deep enough to climb several precision levels; a case that
@@ -319,22 +339,100 @@ def test_expand_matches_fraction_reference_at_depth(beta, x, n, max_bits):
 
 
 @pytest.mark.parametrize("beta, n, max_bits, exact_runs, complete", [
-    (BetaValue.golden(16), 200, 32, [32], False),  # one exact orbit, at the top
+    (BetaValue.golden(16), 200, 32, [], False),    # the inward bracket decides
     (BetaValue.golden(16), 40, 32, [], True),      # a rounded level completes
     (B13, 200, 32, [B13.bits], True),               # exact base
-    (BetaValue(lo=F(3, 2), hi=F(3, 2), bits=8), 50, 64, [8], True)])  # no refiner
+    (BetaValue(lo=F(3, 2), hi=F(3, 2), bits=8), 50, 64, [8], True),  # no refiner
+    # the inward run turns empty: one exact orbit, at the top
+    (_degenerate_refiner_base(F(13, 10), 8), 300, 16, [16], True),
+    # the runs fail at steps 91 (outward) and 110 (inward): one exact orbit
+    (_narrow_beta(F(13, 10), 30), 200, 16, [16], False)])
 def test_expand_runs_the_exact_orbit_at_most_once(monkeypatch, beta, n, max_bits,
                                                   exact_runs, complete):
     runs = []
 
-    def counting(b, x, round_bits=None):
+    def counting(b, x, round_bits=None, inward=False):
         if round_bits is None:
             runs.append(b.bits)
-        return _orbit(b, x, round_bits)
+        return _orbit(b, x, round_bits, inward)
 
     monkeypatch.setattr(numeric, "_orbit", counting)
     assert expand(beta, F(1), n, max_bits=max_bits).complete == complete
     assert runs == exact_runs
+
+
+@given(st.integers(1, 40), st.data(), _unit, st.integers(1, 400))
+@settings(max_examples=60, deadline=None)
+def test_exact_orbit_is_one_track(q, data, x, n):
+    # exact beta and x: the enclosure is one point at every step, over the
+    # unreduced denominator den(x) * den(beta)^t, and never ambiguous
+    beta = BetaValue.from_rational(F(data.draw(st.integers(q + 1, 4 * q)), q))
+    got, path = _reference_orbit(beta, x, n)
+    dens = [x.denominator * beta.exact.denominator ** t for t in range(1, n + 1)]
+    want = [(d, lo * den, hi * den, den) for d, (lo, hi), den in zip(got.digits, path, dens)]
+    assert all(lo.denominator == 1 for _, lo, _, _ in want)
+    assert list(islice(_orbit(beta, x), n)) == want
+
+
+@given(_refiner_bases, _points, st.integers(1, 96), st.integers(1, 150))
+@settings(max_examples=150, deadline=None)
+def test_inward_orbit_lies_in_exact_orbit(beta, x, w, n):
+    # the inward half of the lemma at _orbit: while both runs decide and the
+    # inward run is not empty, its enclosure lies in the exact one, and it
+    # fails no earlier than the exact run
+    inward = _certified_steps(_orbit(beta, x, w, inward=True), n)
+    exact = _certified_steps(_orbit(beta, x), n)
+    for (d, lo, hi, den), (e, elo, ehi, eden) in zip(inward, exact):
+        assert d == e and den == 1 << w
+        assert F(elo, eden) <= F(lo, den) <= F(hi, den) <= F(ehi, eden)
+    t = numeric._fails_at(_orbit(beta, x, w, inward=True), n)
+    if t is not None:
+        assert numeric._fails_at(_orbit(beta, x), n) <= t
+
+
+_bracket_values = st.fractions(F(3, 2), 4, max_denominator=40)
+_bracket_bases = st.one_of(
+    st.just(BetaValue.golden()),
+    st.builds(lambda v: _dyadic_beta(v, 8), _bracket_values),
+    st.builds(_narrow_beta, _bracket_values, st.integers(28, 34)))   # runs may disagree
+
+
+@given(_bracket_bases, st.one_of(_unit, st.just(F(1, 10**9 + 7))),
+       st.sampled_from([64, 128, 256]))
+@example(BetaValue.golden(), F(1), 512)
+@example(BetaValue.golden(), F(1, 3), 512)
+@example(BetaValue.golden(), F(2, 7), 512)
+@example(BetaValue.golden(), F(999, 1000), 512)
+@settings(max_examples=60, deadline=None)
+def test_inward_and_outward_runs_bracket_the_exact_run(beta, x, bits):
+    # the outward run fails no later and the inward run no earlier than the
+    # exact run, so when they fail at one step the exact run fails there
+    beta = beta.with_bits(bits)
+    w = bits + numeric._ROUND_GUARD
+    fails = [numeric._fails_at(orbit, 8 * bits) for orbit in (
+        _orbit(beta, x, w), _orbit(beta, x, w, inward=True), _orbit(beta, x))]
+    outward, inward, exact = fails
+    assert outward <= exact and (inward is None or exact <= inward)
+    if beta.label == "golden":   # these points are bracketed exactly
+        assert outward == inward == exact
+
+
+def test_expand_exhausted_golden_ends_on_the_inward_bracket(monkeypatch):
+    # the 4096-bit ladder certifies 5901 digits; the inward run fails there
+    # too, so no unrounded orbit runs (it would cost Theta(t^2 * bits))
+    runs = []
+
+    def counting(b, x, round_bits=None, inward=False):
+        runs.append((round_bits, inward))
+        return _orbit(b, x, round_bits, inward)
+
+    monkeypatch.setattr(numeric, "_orbit", counting)
+    t0 = time.perf_counter()
+    got = expand(BetaValue.golden(), F(1), 6000)
+    assert time.perf_counter() - t0 < 20
+    assert got.status == ("precision_exhausted", 5901) and got.certified == 5901
+    assert got.digits == (2,) + (1,) * 5900
+    assert None not in [r for r, _ in runs] and runs[-1] == (4096 + 32, True)
 
 
 def test_expand_refuses_a_refiner_that_is_not_nested():
