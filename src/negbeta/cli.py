@@ -190,8 +190,6 @@ def _spec_of(args) -> ShiftSpec:
         return ShiftSpec.make(_bound_of_file(args))
     beta = _beta_of(args)
     if beta.label == "golden":
-        if args.horizon < 1:  # from_beta checks every other base
-            raise ValueError("horizon >= 1 required")
         return ShiftSpec.golden()
     return ShiftSpec.from_beta(beta, horizon=args.horizon,
                                prefix_len=_prefix_len(args))
@@ -348,8 +346,6 @@ def cmd_measure(args) -> int:
 def cmd_factor(args) -> int:
     beta = _beta_of(args)
     spec = _spec_of(args)
-    if args.horizon < 1:  # --b-file specs leave it unchecked
-        raise ValueError("horizon >= 1 required")
     # from_beta made the spec two-sided exactly when the expansion of 1 is
     # purely odd-periodic
     if golden_test(beta, horizon=args.horizon) == "below":
@@ -439,6 +435,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.horizon < 1:  # every verb, golden and --b-file specs included
+            raise ValueError("horizon >= 1 required")
         return args.func(args)
     except _TRUNCATION as exc:
         hint = (f" ({_prefix_hint(args)})"

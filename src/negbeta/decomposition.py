@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (GlueFailed, NoLFound, NoSelfLoop, NotInGM,
-                     TruncationInsufficient)
+from .errors import GlueFailed, NoSelfLoop, NotInGM, TruncationInsufficient
 from .graph import (GraphSlice, _dist_to_v0, _least_return, _rows, gap_scan,
                     path_count, path_counts, path_words, walk)
 from .language import NO, ShiftSpec, _Automaton, periodic_block_ok
@@ -98,12 +97,6 @@ def c_entropy_profile(graph: GraphSlice, Lmax: int, nmax: int,
         if tail_ok and selected is None:
             selected = L
     return CProfile(epsilon, nmax, rows, selected)
-
-
-def require_profile_cutoff(profile: CProfile) -> int:
-    if profile.selected_L is None:
-        raise NoLFound(f"no cutoff with tail estimates <= {profile.epsilon}")
-    return profile.selected_L
 
 
 @dataclass

@@ -49,8 +49,7 @@ from typing import Iterator, Optional
 
 from .errors import (PrefixTooShort, TruncationInsufficient,
                      TwoSidedUnsupported)
-from .language import (ShiftSpec, _lex_words, _Track, _walk_count,
-                       _walk_counts, follower_words, is_admissible)
+from .language import ShiftSpec, _lex_words, _Track, _walk_count, _walk_counts
 from .order import BoundSeq, EvPeriodicSeq, Word, bound_len, word
 
 
@@ -457,35 +456,6 @@ def gap_scan(graph: GraphSlice, N: int) -> Optional[int]:
         return 0
     L = max(violators) + 1
     return L if L <= graph.K else None
-
-
-@dataclass(frozen=True)
-class FollowerReport:
-    w: Word
-    w2: Word
-    k: int
-    depth: int
-    equal: bool
-    counterexample: Optional[Word]
-    sizes: tuple[int, int]
-
-
-def follower_equiv_check(spec: ShiftSpec, w, w2, depth: int) -> FollowerReport:
-    """Brute-force check that two words with the same suffix-match state
-    admit exactly the same depth-bounded continuations."""
-    w, w2 = word(w), word(w2)
-    if is_admissible(spec, w) != "yes" or is_admissible(spec, w2) != "yes":
-        raise ValueError("both words must be admissible")
-    kw = k_of(spec.upper, w)
-    kw2 = k_of(spec.upper, w2)
-    if kw != kw2:
-        raise ValueError(f"suffix-match states differ: {kw} vs {kw2}")
-    f1 = set(follower_words(spec, w, depth))
-    f2 = set(follower_words(spec, w2, depth))
-    if f1 == f2:
-        return FollowerReport(w, w2, kw, depth, True, None, (len(f1), len(f2)))
-    diff = sorted(f1.symmetric_difference(f2))[0]
-    return FollowerReport(w, w2, kw, depth, False, diff, (len(f1), len(f2)))
 
 
 def parse_bound_file(text: str) -> BoundSeq:

@@ -7,10 +7,10 @@ is admissible when every suffix stays within the bounds compared against
 the corresponding bound prefix; ties at the end of a finite comparison are
 within bounds.
 
-Membership, enumeration, counting, follower sets, mixing searches,
-periodic blocks and eventually periodic points all run on one suffix-match
-automaton whose state is the pair of longest suffix ties with the upper and
-lower bound prefixes.  It is finite: an eventually periodic bound's track
+Membership, enumeration, counting, follower sets, periodic blocks and
+eventually periodic points all run on one suffix-match automaton whose
+state is the pair of longest suffix ties with the upper and lower bound
+prefixes.  It is finite: an eventually periodic bound's track
 is folded (the lemma at `_Track`), and a finite prefix's ends at its
 length.  Its reader (`_Automaton.read`) decides a word from any state as
 "yes", "no" or, when a suffix ties the whole of a finite upper prefix and
@@ -42,7 +42,7 @@ from operator import mul
 from typing import Iterator, Optional
 
 from .errors import HorizonExhausted, NotOddPeriodic, SpecPrefixTooShort
-from .numeric import BetaValue, _d1_cycle, expand
+from .numeric import GOLDEN_UPPER, BetaValue, _d1_cycle, expand
 from .order import (BoundSeq, EvPeriodicSeq, Word, _alt_sign, _failure_table,
                     bound_digit, bound_len, is_alt_shift_maximal, word)
 
@@ -92,8 +92,7 @@ class ShiftSpec:
     @staticmethod
     def golden() -> "ShiftSpec":
         """The shift bounded by 2(1)^inf, i.e. base (1+sqrt 5)/2."""
-        return ShiftSpec.make(EvPeriodicSeq.make((2,), (1,)),
-                              origin=BetaValue.golden())
+        return ShiftSpec.make(GOLDEN_UPPER, origin=BetaValue.golden())
 
     @staticmethod
     def from_beta(beta: BetaValue, horizon: int = 256,
@@ -721,32 +720,6 @@ def entropy_profile(table: CountTable) -> list[dict]:
             row["per_estimate"] = math.log(per) / n if per > 0 else 0.0
         rows.append(row)
     return rows
-
-
-def mixing_witness(spec: ShiftSpec, v, w, nmax: int) -> Optional[int]:
-    """Least n <= nmax such that some admissible word carries v as a prefix
-    and w at positions n+1 .. n+|w|; None when the search bound is hit."""
-    v, w = word(v), word(w)
-    if is_admissible(spec, v) != YES or is_admissible(spec, w) != YES:
-        raise ValueError("v and w must be admissible")
-    aut = _Automaton(spec)
-
-    for n in range(nmax + 1):
-        forced = dict(enumerate(v, start=1))
-        if any(forced.setdefault(n + i, d) != d for i, d in enumerate(w, start=1)):
-            continue
-
-        def children(node):
-            # a node is (depth, state); forced positions admit one digit
-            depth, state = node
-            want = forced.get(depth + 1)
-            return [(a, (depth + 1, t)) for a, t in aut.successors(state)
-                    if want is None or a == want]
-
-        total = max(len(v), n + len(w))
-        if next(_lex_words((0, aut.start), total, children), None) is not None:
-            return n
-    return None
 
 
 def follower_words(spec: ShiftSpec, w, depth: int) -> list[Word]:

@@ -1,6 +1,6 @@
 """Certified computation for negative-base transformations.
 
-The map is x -> -bx + floor(bx) + 1 on (0, 1], extended by 0 -> 1.  Bases
+The map is x -> -bx + floor(bx) + 1 on (0, 1].  Bases
 are exact rationals (preferred: every orbit value is an exact Fraction) or
 real intervals refined on demand, e.g. the golden ratio.  Every orbit runs
 on one integer-numerator kernel, `_orbit`: exact bases and intervals alike.
@@ -156,12 +156,12 @@ class CertifiedDigits:
         return self.status[0] == "complete"
 
 
-def _check_unit(x: UnitPoint, allow_zero: bool) -> tuple[Fraction, Fraction]:
+def _check_unit(x: UnitPoint) -> tuple[Fraction, Fraction]:
     if isinstance(x, IntervalValue):
         lo, hi = x.lo, x.hi
     else:
         lo = hi = Fraction(x)
-    if hi > 1 or lo < 0 or (not allow_zero and hi <= 0):
+    if hi > 1 or lo < 0 or hi <= 0:
         raise DomainError(f"point {x} outside the unit interval")
     return lo, hi
 
@@ -209,7 +209,7 @@ def _orbit(beta: BetaValue, x: UnitPoint, round_bits: Optional[int] = None,
     # products alo*lo and ahi*hi are equal at every step, and so are the
     # next lo and hi; the one track computes one product and one division,
     # and skips the straddle test, which compares equal quotients.
-    xlo, xhi = _check_unit(x, allow_zero=False)
+    xlo, xhi = _check_unit(x)
     blo, bhi = beta.bounds()
     c = math.lcm(blo.denominator, bhi.denominator)
     alo, ahi = int(blo * c), int(bhi * c)
@@ -261,13 +261,6 @@ def step(beta: BetaValue, x: UnitPoint) -> tuple[int, UnitPoint]:
     if beta.is_exact and not isinstance(x, IntervalValue):
         return d, Fraction(lo, den)
     return d, IntervalValue(Fraction(lo, den), Fraction(hi, den))
-
-
-def step_extended(beta: BetaValue, x: UnitPoint) -> tuple[Optional[int], UnitPoint]:
-    """The extension to [0, 1]: 0 maps to 1 without emitting a digit."""
-    if _check_unit(x, allow_zero=True)[1] == 0:
-        return None, ONE
-    return step(beta, x)
 
 
 # Bits that the rounded pass of `expand` keeps beyond the base's precision
@@ -477,101 +470,3 @@ def _psi_ev_exact(b: Fraction, seq: EvPeriodicSeq) -> Fraction:
     r = Fraction((-1) ** L) / b**L
     tail = block / (1 - r)
     return head + Fraction((-1) ** p) / b**p * tail
-
-
-# ---------------------------------------------------------------------------
-# Exact interval-set iteration for the locally-eventually-onto search.
-# ---------------------------------------------------------------------------
-
-# A piece is (lo, lo_closed, hi, hi_closed) with Fraction endpoints; a point
-# is lo == hi with both flags True.
-Piece = tuple[Fraction, bool, Fraction, bool]
-
-FULL: tuple[Piece, ...] = ((ZERO, False, ONE, True),)
-
-
-def _piece_ok(p: Piece) -> bool:
-    lo, lc, hi, hc = p
-    return lo < hi or (lo == hi and lc and hc)
-
-
-def _normalize(pieces: list[Piece]) -> tuple[Piece, ...]:
-    pieces = [p for p in pieces if _piece_ok(p)]
-    pieces.sort(key=lambda p: (p[0], not p[1]))
-    out: list[Piece] = []
-    for p in pieces:
-        if not out:
-            out.append(p)
-            continue
-        lo, lc, hi, hc = out[-1]
-        plo, plc, phi, phc = p
-        touching = plo < hi or (plo == hi and (hc or plc))
-        if touching:
-            if phi > hi or (phi == hi and phc and not hc):
-                out[-1] = (lo, lc, phi, phc)
-        else:
-            out.append(p)
-    return tuple(out)
-
-
-def _intersect(p: Piece, q: Piece) -> Optional[Piece]:
-    lo = max(p[0], q[0])
-    hi = min(p[2], q[2])
-    lc = (p[1] if p[0] == lo else True) and (q[1] if q[0] == lo else True)
-    hc = (p[3] if p[2] == hi else True) and (q[3] if q[2] == hi else True)
-    piece = (lo, lc, hi, hc)
-    return piece if _piece_ok(piece) else None
-
-
-def _cells(b: Fraction) -> list[tuple[Piece, int]]:
-    """The digit partition of (0, 1] for an exact base."""
-    fl = math.floor(b)
-    cuts = [Fraction(i) / b for i in range(1, fl + 1)]
-    cells: list[tuple[Piece, int]] = [((ZERO, False, cuts[0], False), 1)]
-    for i in range(2, fl + 1):
-        cells.append(((cuts[i - 2], True, cuts[i - 1], False), i))
-    cells.append(((cuts[fl - 1], True, ONE, True), fl + 1))
-    return cells
-
-
-def _map_piece(b: Fraction, piece: Piece, digit: int) -> Piece:
-    # x -> digit - b*x is decreasing: endpoints swap, flags follow them.
-    lo, lc, hi, hc = piece
-    return (digit - b * hi, hc, digit - b * lo, lc)
-
-
-def leo_witness(beta: BetaValue, a, b, nmax: int,
-                lo_closed: bool = False, hi_closed: bool = False) -> Optional[int]:
-    """Smallest n <= nmax with the n-th image of the interval (a, b) under
-    the extended map equal to (0, 1]; None if not reached by nmax.
-
-    Exact rational propagation of interval unions across the partition, so
-    a returned witness is a certificate, and None is only a search bound.
-    """
-    if not beta.is_exact:
-        raise DomainError("interval bases not supported; use an exact rational")
-    bq = beta.exact
-    a, b = Fraction(a), Fraction(b)
-    if not (0 <= a < b <= 1):
-        raise DomainError(f"({a}, {b}) is not a positive-length subinterval of [0, 1]")
-    cells = _cells(bq)
-    cur = _normalize([(a, lo_closed, b, hi_closed)])
-    seen: set = set()
-    for n in range(nmax + 1):
-        if cur == FULL:
-            return n
-        if cur in seen:
-            # the image sets repeat exactly: the full interval is never
-            # reached (happens for bases below the golden ratio)
-            return None
-        seen.add(cur)
-        nxt: list[Piece] = []
-        for piece in cur:
-            if piece[0] == ZERO and piece[1]:  # extended map: 0 -> 1
-                nxt.append((ONE, True, ONE, True))
-            for cell, digit in cells:
-                hit = _intersect(piece, cell)
-                if hit is not None:
-                    nxt.append(_map_piece(bq, hit, digit))
-        cur = _normalize(nxt)
-    return None

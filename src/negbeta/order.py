@@ -204,7 +204,3 @@ def is_alt_shift_maximal(b: BoundSeq, alphabet: Optional[int] = None) -> ShiftMa
         if cmp_prefix(w[k:], w) == GT:
             return ShiftMaximality("no", k)
     return ShiftMaximality("undecided")
-
-
-def rotations(w: Word) -> list[Word]:
-    return [w[i:] + w[:i] for i in range(len(w))]

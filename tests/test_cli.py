@@ -174,6 +174,54 @@ def test_graph_output_bytes(tmp_path, monkeypatch):
                 for p in Path("out").iterdir()} == digests, line
 
 
+# The README examples of the other verbs.  entropy.json and measure.json
+# carry report-only floats from math.log and math.exp, so for those two the
+# digest is of the document with every float outside its config set to null.
+VERB_DIGESTS = {
+    "expand --beta 13/10 --n 30": {
+        "expand.json": "fab67376bf33a2d57d277df72aa16b4a60658bd2472e9afffdf01821e1335a9b"},
+    "entropy --beta golden --n 14 --epsilon 0.3": {
+        "c_profile.csv": "a3630f3271aff9dffd0ea392abb66ad2893c410eb58ca2ab166368cc505619e8",
+        "counts.csv": "ca95f0c2922d5eb97b7a5bbce32a57ebed9e2c4c815ac20b396bb6a67608ec5d",
+        "entropy.json": "febb23513227b74bdf2b5eea40eaeaf0e5d3478e9188c6fd24cc9d31f2678765"},
+    "glue --beta golden --L 2 --M 4 --words-file words.txt": {
+        "glue.json": "926bcc4ea917e34d3abbead65ecd096961201fc9acc3ead2564a5d75e17a26df"},
+    "measure --beta golden --n 12 --m 4 --L 2": {
+        "measure.json": "505334a8919d842aabcbce9cce78d3973b30c6b805d843cbeacdf50e93399852",
+        "weakstar.csv": "3995134077d36542bf4232f2cdea7b96cc7a3123cc7b72b2a6fb2080775fa5c5"},
+    "factor --beta 2 --depth 12": {
+        "factor_report.json": "cf7b8d168c4d2a650efa95dcb50d391a44d20fa994bac8c8595509f7239c66a3"},
+}
+
+
+def _floats_nulled(o):
+    if isinstance(o, float):
+        return None
+    if isinstance(o, dict):
+        return {k: _floats_nulled(v) for k, v in o.items()}
+    if isinstance(o, list):
+        return [_floats_nulled(v) for v in o]
+    return o
+
+
+def _verb_digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name in ("entropy.json", "measure.json"):
+        doc = json.loads(data)
+        doc = {k: v if k == "config" else _floats_nulled(v) for k, v in doc.items()}
+        data = json.dumps(doc, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_verb_output_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("words.txt").write_text("2\n21\n112\n")
+    for line, digests in VERB_DIGESTS.items():
+        shutil.rmtree("out", ignore_errors=True)
+        assert main(line.split() + ["--out", "out"]) == 0
+        assert {p.name: _verb_digest(p) for p in Path("out").iterdir()} == digests, line
+
+
 def test_graph_from_bound_file(tmp_path):
     bfile = tmp_path / "b.txt"
     bfile.write_text("| 3 2 3 2 1 3 3\n")
@@ -238,6 +286,22 @@ def test_golden_horizon_below_one_exits_2(tmp_path, capsys):
         for beta in ("golden", "2", "13/10"):
             out = tmp_path / f"{verb[0]}-{beta.replace('/', '_')}"
             assert run([*verb, "--beta", beta, "--horizon", "0", "--out", out]) == 2
+            assert capsys.readouterr().err == "error: horizon >= 1 required\n"
+            assert not out.exists()
+
+
+def test_bound_file_horizon_below_one_exits_2(tmp_path, capsys):
+    # a --b-file spec never reads --horizon, but every verb refuses it
+    bound, words = tmp_path / "b.txt", tmp_path / "w.txt"
+    bound.write_text("| 3 2 3 2 1 3 3\n")
+    words.write_text("2\n21\n")
+    for verb in (["graph", "--K", "4"], ["entropy"],
+                 ["glue", "--words-file", words], ["measure"],
+                 ["expand", "--beta", "2"], ["factor", "--beta", "2"]):
+        for horizon in ("0", "-3"):
+            out = tmp_path / f"{verb[0]}{horizon}"
+            assert run([*verb, "--b-file", bound, "--horizon", horizon,
+                        "--out", out]) == 2
             assert capsys.readouterr().err == "error: horizon >= 1 required\n"
             assert not out.exists()
 

@@ -8,9 +8,9 @@ import pytest
 from negbeta import decomposition, oracle
 from negbeta import graph as graphmod
 from negbeta.decomposition import (GlueResult, bound_check, c_count,
-                                   c_entropy_profile, c_words, glue,
-                                   require_profile_cutoff, split, t_gap)
-from negbeta.errors import (GlueFailed, NoLFound, NoSelfLoop, NotInGM,
+                                   c_entropy_profile, c_words, glue, split,
+                                   t_gap)
+from negbeta.errors import (GlueFailed, NoSelfLoop, NotInGM,
                             TruncationInsufficient)
 from negbeta.graph import build_graph, build_graph_for_spec, path_counts, walk
 from negbeta.language import (ShiftSpec, is_admissible, iter_words,
@@ -72,7 +72,6 @@ def test_c_count_matches_a1_counts():
 def test_entropy_profile_selects_cutoff():
     prof = c_entropy_profile(GS, 8, 12, 0.3)
     assert prof.selected_L == 2
-    assert require_profile_cutoff(prof) == 2
     tail = [r for r in prof.rows if r["L"] == 2 and r["n"] >= 6]
     assert all(r["estimate"] <= 0.3 for r in tail)
     # level 1 keeps full golden growth, far above the target
@@ -85,8 +84,6 @@ def test_entropy_profile_selects_cutoff():
 def test_entropy_profile_no_cutoff():
     prof = c_entropy_profile(GS, 1, 12, 0.05)
     assert prof.selected_L is None
-    with pytest.raises(NoLFound):
-        require_profile_cutoff(prof)
 
 
 def test_entropy_profile_non_finite_epsilon_raises():

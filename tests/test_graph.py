@@ -13,8 +13,7 @@ from negbeta import language, oracle
 from negbeta.decomposition import c_count, t_gap
 from negbeta.errors import (PrefixTooShort, TruncationInsufficient,
                             TwoSidedUnsupported)
-from negbeta.graph import (build_graph, build_graph_for_spec,
-                           follower_equiv_check, gap_scan, k_of,
+from negbeta.graph import (build_graph, build_graph_for_spec, gap_scan, k_of,
                            parse_bound_file, path_count, path_counts,
                            path_words, shortest_path_to_v0, walk)
 from negbeta.language import (_PRIME, ShiftSpec, _recurrence, _Track,
@@ -276,19 +275,6 @@ def test_gap_scan():
     assert gap_scan(ones, 3) == 0
     with pytest.raises(ValueError):
         gap_scan(GS, 0)
-
-
-def test_follower_equivalence():
-    r = follower_equiv_check(GOLDEN, word("1"), word("11"), 6)
-    assert r.equal and r.k == 0
-    r = follower_equiv_check(GOLDEN, word("2"), word("12"), 6)
-    assert r.equal and r.k == 1
-    r = follower_equiv_check(FIG, word("32"), word("3232132"), 5)
-    assert r.equal and r.k == 2
-    same = follower_equiv_check(FIG, word("321"), word("321"), 4)
-    assert same.equal
-    with pytest.raises(ValueError):
-        follower_equiv_check(GOLDEN, word("2"), word("1"), 3)  # states differ
 
 
 def test_follower_property_across_state_classes():

@@ -13,8 +13,8 @@ from negbeta.language import (CountTable, ShiftSpec, count_words,
                               derived_lower_bound, entropy_profile,
                               enumerate_words, eventually_periodic_completion,
                               follower_words, is_admissible, iter_words,
-                              mixing_witness, per_count, per_points,
-                              periodic_block_ok, seq_within_bounds)
+                              per_count, per_points, periodic_block_ok,
+                              seq_within_bounds)
 from negbeta.numeric import BetaValue
 from negbeta.order import EvPeriodicSeq, is_alt_shift_maximal, word
 
@@ -262,17 +262,6 @@ def test_entropy_profile_trivial_rows():
                          for n in range(1, 30)])
     rows = entropy_profile(linear)
     assert rows[-1]["words_estimate"] < 0.12
-
-
-def test_mixing_witness():
-    assert mixing_witness(GOLDEN, "2", "2", 10) == 0
-    assert mixing_witness(B2, "2", "1", 10) == 1
-    assert mixing_witness(B2, "1", "2", 10) == 1
-    # the top cylinder of an odd-periodic shift never reaches a 1: the
-    # sequence is trapped, so the search bound is hit
-    assert mixing_witness(B2, "3", "1", 10) is None
-    with pytest.raises(ValueError):
-        mixing_witness(GOLDEN, "212", "1", 5)
 
 
 def test_follower_words():

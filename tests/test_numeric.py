@@ -12,8 +12,7 @@ from negbeta.errors import AmbiguousDigit, DomainError, UndecidableOrder
 from negbeta.language import ShiftSpec
 from negbeta.numeric import (BetaValue, CertifiedDigits, D1Classification,
                              IntervalValue, _orbit, classify_d1, expand,
-                             golden_test, golden_test_prefix, leo_witness,
-                             psi_value, step, step_extended)
+                             golden_test, golden_test_prefix, psi_value, step)
 from negbeta.order import EQ, LT, EvPeriodicSeq, cmp_prefix, word
 
 B2 = BetaValue.from_rational(2)
@@ -34,12 +33,6 @@ def test_step_domain():
         step(B2, F(0))
     with pytest.raises(DomainError):
         step(B2, F(3, 2))
-
-
-def test_step_extended():
-    assert step_extended(B2, F(0)) == (None, F(1))
-    assert step_extended(B2, F(1, 3)) == (1, F(1, 3))
-    assert step_extended(B13, F(7, 10)) == (1, F(9, 100))
 
 
 def test_expand_examples():
@@ -144,22 +137,6 @@ def test_precision_exhaustion_reported():
     got = expand(BetaValue.golden(16), F(1), 200, max_bits=32)
     assert got.status[0] == "precision_exhausted"
     assert got.certified == len(got.digits) < 200
-
-
-def test_leo_witness():
-    assert leo_witness(B2, 0, 1, 5, hi_closed=True) == 0
-    assert leo_witness(B2, F(2, 5), F(3, 5), 20) == 3
-    assert leo_witness(B2, F(9, 10), F(1), 50) == 4
-    assert leo_witness(BetaValue.from_rational(F(5, 2)), F(9, 10), F(1), 50) == 3
-    # below the golden ratio the images provably cycle without filling (0, 1]
-    assert leo_witness(B13, F(9, 10), F(1), 200) is None
-
-
-def test_leo_rejects_bad_input():
-    with pytest.raises(DomainError):
-        leo_witness(B2, F(1, 2), F(1, 2), 5)
-    with pytest.raises(DomainError):
-        leo_witness(BetaValue.golden(), F(0), F(1), 5)
 
 
 def test_beta_parse():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import negbeta
 from negbeta.errors import LengthMismatch
 from negbeta.order import (EQ, GT, LT, EvPeriodicSeq, alt_cmp, alt_cmp_seq,
-                           cmp_prefix, is_alt_shift_maximal, rotations, word)
+                           cmp_prefix, is_alt_shift_maximal, word)
 
 
 def test_alt_cmp_examples():
@@ -113,7 +113,6 @@ def test_cmp_prefix_and_rotations():
     assert cmp_prefix(word("21"), g) == EQ          # tie at prefix
     assert cmp_prefix(word("22"), g) == LT
     assert cmp_prefix(word("3"), g) == GT
-    assert rotations(word("123")) == [word("123"), word("231"), word("312")]
 
 
 _REIMPORT = """
