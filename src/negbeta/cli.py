@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import decomposition, factors, graph as graphmod, language, measures
-from .errors import (AmbiguousDigit, EnumerationCapExceeded, GlueFailed,
+from .errors import (AmbiguousDigit, EmptyPer, EnumerationCapExceeded, GlueFailed,
                      HorizonExhausted, NegBetaError, NoLFound, PrefixTooShort,
                      SpecPrefixTooShort, TruncationInsufficient)
 from .language import ShiftSpec, count_words, entropy_profile
@@ -315,10 +315,14 @@ def cmd_measure(args) -> int:
     _at_least_1("L", args.L)
     K = _slice_K(args, 24)
     spec = _spec_of(args)
-    measure = measures.mu_n(spec, args.n, args.m)
+    ns = [n for n in (args.n - 4, args.n - 2) if n >= args.m]
+    got = measures.mu_orders(spec, [args.n, *ns], args.m)
+    measure = got[args.n]
+    if not measure.per_count:
+        raise EmptyPer(f"no period-{args.n} blocks")
     if not (measure.check_normalization() and measure.check_consistency()):
         raise VerificationFailure("measure failed exact sanity checks")
-    # the Gibbs exponent (1/N) log #L_N; mu_n found period-n points, so #L_N > 0
+    # the Gibbs exponent (1/N) log #L_N; the measure found period-n points, so #L_N > 0
     N = max(args.n, 4)
     h = math.log(count_words(spec, N).rows[-1]["count_words"]) / N
     gwords = []
@@ -330,9 +334,8 @@ def cmd_measure(args) -> int:
                 if vseq is not None and vseq[-1] <= args.L - 1:
                     gwords.append(w)
     gibbs = measures.gibbs_check(measure, gwords, h)
-    weak = measures.weakstar_diagnostic(
-        spec, [n for n in (args.n - 4, args.n - 2, args.n) if n >= args.m],
-        min(args.m, 3), measure)
+    weak = measures.weakstar_diagnostic(spec, [*ns, args.n], min(args.m, 3),
+                                        list(got.values()))
     _emit_text(args, "weakstar.csv", weak.to_csv())
     path = _emit_json(args, "measure.json", {
         "measure": measure.to_json(),

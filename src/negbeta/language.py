@@ -22,14 +22,14 @@ slices (`graph.path_counts`, `graph.path_count`), by one kernel whose DP a
 certified linear recurrence cuts short: `_walk_counts` extends the counts
 by the recurrence, `_walk_count` jumps to one length.
 
-The period-n blocks form rotation classes, so they are walked by necklace:
-the admissible prenecklaces are grown in lexicographic order
-(Fredricksen-Kessler-Maiorana), and one point check per necklace, resumed
-from the state the walk reached, decides its whole class.  A spec known
-only as a finite prefix of length H falls back to checking every admissible
-word in lexicographic order when H <= n or n is a period of the prefix:
-only there can a shift of an n-periodic point tie the whole prefix, and
-the HorizonExhausted raised names the first such tie in word order.
+The period-n blocks form rotation classes, so one walk serves every length
+asked for: the admissible prenecklaces are grown in lexicographic order
+(Fredricksen-Kessler-Maiorana) down to the longest, and one point check per
+necklace, resumed from the state the walk reached, decides its whole class.
+A spec known only as a finite prefix of length H checks every admissible
+word of a length n on its own, in lexicographic order, when H <= n or n is
+a period of the prefix: only there can a shift of an n-periodic point tie
+the whole prefix, and HorizonExhausted names the first such tie in word order.
 """
 
 from __future__ import annotations
@@ -575,12 +575,11 @@ def count_words(spec: ShiftSpec, nmax: int, with_per: bool = False) -> CountTabl
     aut = _Automaton(spec)
     size = math.prod(len(t.digits) + t.finite for t in (aut.upper, aut.lower) if t)
     counts = _walk_counts(aut.start, nmax, lambda s: aut._out(s).values(), size)
-    rows = []
-    for n, count in enumerate(counts[1:], start=1):
-        row = {"n": n, "count_words": count, "exact": True}
-        if with_per:
-            row["count_per"] = _per_count(aut, n)
-        rows.append(row)
+    rows = [{"n": n, "count_words": count, "exact": True}
+            for n, count in enumerate(counts[1:], start=1)]
+    if with_per:
+        for row, count in zip(rows, _per_counts(aut, range(1, nmax + 1)).values()):
+            row["count_per"] = count
     return CountTable(rows)
 
 
@@ -623,17 +622,18 @@ def _point_ok(aut: _Automaton, head: Word, block: Word,
             f"{tie} ties the {known}-digit upper prefix; extend the prefix") from None
 
 
-def _necklaces(aut: _Automaton, n: int) -> Iterator[tuple[Word, int, tuple[int, int]]]:
-    """(w, p, state) for every necklace w of length n that the automaton
-    reads from its start state, in lexicographic order: w is the least of
-    its rotations, p its least period and state the one w reaches.
+def _necklaces(aut: _Automaton, ns) -> Iterator[tuple[int, Word, int, tuple[int, int]]]:
+    """(n, w, p, state) for every necklace w of a length n in the set ns
+    that the automaton reads from its start state, from one walk in
+    lexicographic order: w is the least of its rotations, p its least
+    period and state the one w reaches.
 
-    Prenecklaces are grown digit by digit (Fredricksen-Kessler-Maiorana):
-    after a prenecklace w_1 .. w_t of period p, a digit below w_{t+1-p}
-    would start a smaller rotation and is never entered, the digit
-    w_{t+1-p} keeps the period and a larger digit makes it t + 1.  A
-    prenecklace of length n is a necklace exactly when p divides n.
-    """
+    Prenecklaces are grown digit by digit (Fredricksen-Kessler-Maiorana)
+    down to length max(ns): after a prenecklace w_1 .. w_t of period p, a
+    digit below w_{t+1-p} would start a smaller rotation and is never
+    entered, w_{t+1-p} keeps the period and a larger digit makes it t + 1.
+    A prenecklace of length n is a necklace exactly when p divides n."""
+    nmax = max(ns)
     acc: list[int] = []
     stack = [(iter(aut.successors(aut.start)), 1)]
     while stack:
@@ -644,49 +644,59 @@ def _necklaces(aut: _Automaton, n: int) -> Iterator[tuple[Word, int, tuple[int, 
             if a < low:
                 continue
             q = p if a == low else t + 1
-            if t + 1 < n:
+            if t + 1 < nmax:
+                if t + 1 in ns and (t + 1) % q == 0:
+                    yield t + 1, (*acc, a), q, state
                 acc.append(a)
                 stack.append((iter(aut.successors(state)), q))
                 break
-            if n % q == 0:
-                yield (*acc, a), q, state
+            if nmax % q == 0:
+                yield nmax, (*acc, a), q, state
         else:
             stack.pop()
             if acc:
                 acc.pop()
 
 
-def _per_blocks(aut: _Automaton, n: int) -> Iterator[tuple[Word, int]]:
-    """The period-n blocks by rotation class: pairs (w, k) such that w and
-    its first k - 1 rotations are blocks, together every block once.
+def _per_blocks(aut: _Automaton, ns) -> Iterator[tuple[int, Word, int]]:
+    """The period-n blocks of every n in ns by rotation class: triples
+    (n, w, k) such that w and its first k - 1 rotations are period-n
+    blocks, together every block of each length once.
 
-    The set of blocks is closed under rotation, so the necklaces are walked
-    and one check per necklace w, resumed from the state the walk reached,
-    credits the p distinct rotations of w (p its least period).  On a
-    finite upper prefix that has period n (every prefix of length H <= n
-    has), a shift of an n-periodic point can tie the whole prefix; there
-    every admissible word is checked on its own, in lexicographic order
-    (k = 1), so that HorizonExhausted names the first tie in word order.
-    """
-    if n < 1:
+    The blocks are closed under rotation, so one walk of the necklaces of
+    all lengths and one check per necklace w, resumed from the state the
+    walk reached, credit the p distinct rotations of w (p its least period).
+    A shift of an n-periodic point can tie the whole of a finite upper
+    prefix only if the prefix has period n (as every prefix of length H <= n
+    has); such an n is left out of the walk, which then raises nothing, and
+    after it every admissible word of length n is checked on its own (k =
+    1), n in the order of ns, so that HorizonExhausted names the first tie
+    in word order."""
+    if any(n < 1 for n in ns):
         raise ValueError("n >= 1 required")
     up = aut.upper
-    if up.finite and all(up.digits[i] == up.digits[i + n] for i in range(up.known - n)):
+    by_word = [n for n in dict.fromkeys(ns) if up.finite and all(
+        up.digits[i] == up.digits[i + n] for i in range(up.known - n))]
+    if walked := set(ns).difference(by_word):
+        for n, w, p, state in _necklaces(aut, walked):
+            if _point_ok(aut, (), w, state):
+                yield n, w, p
+    for n in by_word:
         for w in _lex_words(aut.start, n, aut.successors):
             if _point_ok(aut, (), w):
-                yield w, 1
-        return
-    for w, p, state in _necklaces(aut, n):
-        if _point_ok(aut, (), w, state):
-            yield w, p
+                yield n, w, 1
+
+
+def _per_counts(aut: _Automaton, ns) -> dict[int, int]:
+    """n -> the number of period-n blocks for every n in ns (`_per_blocks`)."""
+    counts = dict.fromkeys(ns, 0)
+    for n, _w, k in _per_blocks(aut, ns):
+        counts[n] += k
+    return counts
 
 
 def _per_points(aut: _Automaton, n: int) -> list[Word]:
-    return sorted(w[i:] + w[:i] for w, k in _per_blocks(aut, n) for i in range(k))
-
-
-def _per_count(aut: _Automaton, n: int) -> int:
-    return sum(k for _w, k in _per_blocks(aut, n))
+    return sorted(w[i:] + w[:i] for _n, w, k in _per_blocks(aut, [n]) for i in range(k))
 
 
 def per_points(spec: ShiftSpec, n: int) -> list[Word]:
@@ -695,17 +705,15 @@ def per_points(spec: ShiftSpec, n: int) -> list[Word]:
     lexicographic order.
 
     Blocks of non-least period are included, matching sigma^n x = x.  They
-    are found by necklace: one check per rotation class, whose members are
-    then listed (see `_per_blocks` for the finite-prefix fallback, which
-    checks word by word when the prefix has length H <= n or period n).
-    """
+    are found by necklace, one check per rotation class whose members are
+    then listed; `_per_blocks` says when a finite prefix is checked word by
+    word instead."""
     return _per_points(_Automaton(spec), n)
 
 
 def per_count(spec: ShiftSpec, n: int) -> int:
-    """The number of period-n blocks, len(per_points(spec, n)), without
-    listing them: each checked necklace adds its least period."""
-    return _per_count(_Automaton(spec), n)
+    """len(per_points(spec, n)) without listing the blocks (`_per_counts`)."""
+    return _per_counts(_Automaton(spec), [n])[n]
 
 
 def entropy_profile(table: CountTable) -> list[dict]:

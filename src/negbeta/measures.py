@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import EmptyPer
 from .language import (CountTable, ShiftSpec, _Automaton, _per_blocks,
-                       _per_count, count_words)
+                       _per_counts, count_words)
 from .order import Word, word
 
 
@@ -68,19 +68,29 @@ class EmpiricalMeasure:
         }
 
 
-def mu_n(spec: ShiftSpec, n: int, m: int) -> EmpiricalMeasure:
-    """The order-n periodic-orbit measure with cylinders up to length m;
-    each rotation class of `_per_blocks` credits its k listed rotations."""
-    if not 1 <= m <= n:
+def mu_orders(spec: ShiftSpec, ns: Sequence[int], m: int) -> dict[int, EmpiricalMeasure]:
+    """mu_n of every order n in ns from one `_per_blocks` walk, each rotation
+    class crediting its k rotations; an order without blocks has per_count 0."""
+    if not ns or not 1 <= m <= min(ns):
         raise ValueError("need 1 <= m <= n")
-    N, hits = 0, Counter()
-    for w, k in _per_blocks(_Automaton(spec), n):
-        N, ww = N + k, w + w
-        hits.update(ww[i:i + ell] for i in range(k) for ell in range(1, m + 1))
-    if not N:
+    hits = {n: Counter() for n in ns}
+    for n, w, k in _per_blocks(_Automaton(spec), list(hits)):
+        ww = w + w
+        hits[n].update(ww[i:i + ell] for i in range(k) for ell in range(1, m + 1))
+    got = {}
+    for n, h in hits.items():  # each rotation adds one length-1 cylinder
+        N = sum(c for u, c in h.items() if len(u) == 1)
+        got[n] = EmpiricalMeasure(n, m, N, {u: Fraction(c, N)
+                                            for u, c in sorted(h.items())})
+    return got
+
+
+def mu_n(spec: ShiftSpec, n: int, m: int) -> EmpiricalMeasure:
+    """The order-n measure of `mu_orders`; EmptyPer without period-n blocks."""
+    got = mu_orders(spec, [n], m)[n]
+    if not got.per_count:
         raise EmptyPer(f"no period-{n} blocks")
-    masses = {u: Fraction(c, N) for u, c in sorted(hits.items())}
-    return EmpiricalMeasure(n, m, N, masses)
+    return got
 
 
 @dataclass
@@ -123,9 +133,9 @@ def htop_from_table(spec: ShiftSpec, table: CountTable) -> EntropyEstimate:
     west = [math.log(c) / n if c > 0 else 0.0
             for n, c in enumerate(counts, start=1)]
     known = {r["n"]: r["count_per"] for r in table.rows if "count_per" in r}
-    aut = _Automaton(spec)  # one automaton for every length's block walk
-    pcounts = [known[n] if n in known else _per_count(aut, n)
-               for n in range(1, min(nmax, 12) + 1)]
+    ns = range(1, min(nmax, 12) + 1)
+    known.update(_per_counts(_Automaton(spec), [n for n in ns if n not in known]))
+    pcounts = [known[n] for n in ns]
     pest = [math.log(c) / n if c > 0 else None
             for n, c in enumerate(pcounts, start=1)]
     return EntropyEstimate(west[-1], nmax, counts, pcounts, west, pest,
@@ -218,30 +228,24 @@ class WeakStarTable:
 
 
 def weakstar_diagnostic(spec: ShiftSpec, ns: Sequence[int], m: int,
-                        known: Optional[EmpiricalMeasure] = None) -> WeakStarTable:
+                        known: Sequence[EmpiricalMeasure] = ()) -> WeakStarTable:
     """Track cylinder masses along a list of orders; the successive maximum
     deviations indicate (but do not prove) weak-star convergence.  A known
-    mu_n(spec, n, m') with m' >= m gives the masses of order n."""
-    tables = []
-    used, skipped = [], []
-    for n in ns:
-        try:
-            if known is not None and known.n == n and known.m >= m:
-                tables.append(EmpiricalMeasure(n, m, known.per_count, {
-                    w: q for w, q in known.masses.items() if len(w) <= m}))
-            else:
-                tables.append(mu_n(spec, n, m))
-            used.append(n)
-        except EmptyPer:
-            skipped.append(n)
-    words = sorted({w for t in tables for w in t.masses})
+    mu_n(spec, n, m') with m' >= m gives the masses of order n; the other
+    orders come from one `mu_orders` walk."""
+    got = {k.n: k for k in known if k.m >= m}
+    if missing := [n for n in ns if n not in got]:
+        got.update(mu_orders(spec, missing, m))
+    skipped = [n for n in ns if not got[n].per_count]
+    tables = [got[n] for n in ns if got[n].per_count]
+    words = sorted({w for t in tables for w in t.masses if len(w) <= m})
     masses = {w: [t.masses.get(w, Fraction(0)) for t in tables] for w in words}
     deviations = []
     for a, b in zip(tables, tables[1:]):
         dev = max(abs(a.masses.get(w, Fraction(0)) - b.masses.get(w, Fraction(0)))
                   for w in words)
         deviations.append(float(dev))
-    return WeakStarTable(m, used, skipped, masses, deviations)
+    return WeakStarTable(m, [t.n for t in tables], skipped, masses, deviations)
 
 
 def measure_entropy_estimate(measure: EmpiricalMeasure, m: int) -> float:

@@ -400,7 +400,7 @@ def golden_test(beta: BetaValue, horizon: int = 64) -> str:
     length horizon.
     """
     if horizon < 1:
-        raise ValueError("n >= 1 required")
+        raise ValueError("horizon >= 1 required")
     if beta.is_exact:
         p, q = beta.exact.numerator, beta.exact.denominator
         return "below" if (2 * p - q) ** 2 < 5 * q * q else "at_or_above"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from negbeta import cli, measures, numeric
+from negbeta import cli, language, measures, numeric
 from negbeta.cli import main
 from negbeta.numeric import BetaValue, golden_test
 
@@ -306,17 +306,30 @@ def test_bound_file_horizon_below_one_exits_2(tmp_path, capsys):
             assert not out.exists()
 
 
+def _spy_walks(monkeypatch) -> list:
+    """The lengths of every necklace walk started, one sorted list a walk."""
+    walked, necklaces = [], language._necklaces
+
+    def spy(aut, ns):
+        walked.append(sorted(ns))
+        return necklaces(aut, ns)
+
+    monkeypatch.setattr(language, "_necklaces", spy)
+    return walked
+
+
 def test_measure_walks_its_period_blocks_once(tmp_path, monkeypatch):
-    walked, per_blocks = [], measures._per_blocks
-
-    def spy(aut, n):
-        walked.append(n)
-        return per_blocks(aut, n)
-
-    monkeypatch.setattr(measures, "_per_blocks", spy)
+    walked = _spy_walks(monkeypatch)
     assert run(["measure", "--beta", "golden", "--n", "12", "--m", "4",
                 "--L", "2", "--out", tmp_path / "m"]) == 0
-    assert sorted(walked) == [8, 10, 12]
+    assert walked == [[8, 10, 12]]
+
+
+def test_entropy_walks_its_period_blocks_once(tmp_path, monkeypatch):
+    walked = _spy_walks(monkeypatch)
+    assert run(["entropy", "--beta", "golden", "--n", "10",
+                "--out", tmp_path / "e"]) == 0
+    assert walked == [list(range(1, 11))]
 
 
 def test_measure_command(tmp_path):

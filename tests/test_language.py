@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from negbeta import language, oracle
+from negbeta import language, measures, oracle
 from negbeta.errors import HorizonExhausted, NotOddPeriodic, SpecPrefixTooShort
 from negbeta.graph import build_graph_for_spec, k_of, path_count, path_words
 from negbeta.language import (CountTable, ShiftSpec, count_words,
@@ -441,3 +441,47 @@ def test_per_blocks_match_word_by_word_reference(spec):
         assert got == expected
         count = _outcome(lambda: per_count(spec, n))
         assert count == (len(got) if isinstance(got, list) else got)
+
+
+_TIED = ShiftSpec.from_beta(BetaValue.from_rational(F(4, 3)), prefix_len=5)
+
+
+@given(st.one_of(_RATIONAL_SPECS, _bound_specs(), _prefix_specs()),
+       st.lists(st.integers(1, 9), min_size=1, max_size=6, unique=True),
+       st.integers(1, 9))
+@example(_TIED, [6, 4, 2, 3, 1], 1)   # H = 5 <= 6 and period 4: word order
+@example(_TIED, [3, 2, 5], 2)
+@example(GOLDEN, [9, 1, 4, 6], 3)
+@example(B2, [6, 5, 4], 4)
+@settings(max_examples=100, deadline=None)
+def test_one_walk_serves_every_length(spec, ns, m):
+    # one walk for all of ns against one call per length and the naive
+    # sweep; a failing multi-length call raises what the first failing
+    # length of ns raises on its own, since the walked lengths raise nothing
+    ns = [n for n in ns if spec.alphabet ** n <= 3 ** 6]
+    assume(ns)
+    m = min(m, *ns)
+    single = {n: _outcome(lambda: per_points(spec, n)) for n in ns}
+    for n in ns:
+        try:
+            naive = oracle.naive_per(spec, n)
+        except RuntimeError:
+            assert not isinstance(single[n], list)
+        else:
+            assert single[n] == naive
+            assert per_count(spec, n) == len(naive)
+    aut = language._Automaton(spec)
+    blocks = _outcome(lambda: sorted((n, w[i:] + w[:i]) for n, w, k
+                                     in language._per_blocks(aut, ns) for i in range(k)))
+    counts = _outcome(lambda: language._per_counts(aut, ns))
+    mus = _outcome(lambda: measures.mu_orders(spec, ns, m))
+    failed = [got for got in single.values() if not isinstance(got, list)]
+    if failed:
+        assert blocks == counts == mus == failed[0]
+        return
+    assert blocks == sorted((n, w) for n in ns for w in single[n])
+    assert counts == {n: len(single[n]) for n in ns}
+    for n in ns:
+        want = (measures.mu_n(spec, n, m) if single[n]
+                else measures.EmpiricalMeasure(n, m, 0, {}))
+        assert mus[n] == want

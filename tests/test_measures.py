@@ -5,9 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from negbeta.errors import EmptyPer
-from negbeta.language import ShiftSpec, per_points
+from negbeta.language import ShiftSpec, per_count, per_points
 from negbeta.measures import (EmpiricalMeasure, gibbs_check, htop_estimate,
-                              measure_entropy_estimate, mu_n,
+                              measure_entropy_estimate, mu_n, mu_orders,
                               weakstar_diagnostic)
 from negbeta.numeric import BetaValue
 from negbeta.order import EvPeriodicSeq, word
@@ -159,30 +159,57 @@ def test_weakstar_reads_a_known_measure():
         want = weakstar_diagnostic(spec, ns, 3)
         for m in (3, 4, 5):
             # an order outside ns, or too few cylinder lengths, is not read
-            for known in (mu_n(spec, ns[-1], m), mu_n(spec, ns[0], m),
-                          mu_n(spec, ns[-1], 2), mu_n(spec, 5, m)):
-                assert weakstar_diagnostic(spec, ns, 3, known) == want
+            known = [mu_n(spec, ns[-1], m), mu_n(spec, ns[0], m),
+                     mu_n(spec, ns[-1], 2), mu_n(spec, 5, m)]
+            for k in known:
+                assert weakstar_diagnostic(spec, ns, 3, [k]) == want
+            assert weakstar_diagnostic(spec, ns, 3, known) == want
+
+
+def test_htop_estimate_walks_its_period_blocks_once(monkeypatch):
+    import negbeta.language as lang
+
+    walked, necklaces = [], lang._necklaces
+
+    def spy(aut, ns):
+        walked.append(sorted(ns))
+        return necklaces(aut, ns)
+
+    monkeypatch.setattr(lang, "_necklaces", spy)
+    est = htop_estimate(GOLDEN, 10)
+    assert walked == [list(range(1, 11))]
+    assert est.per_counts == [per_count(GOLDEN, n) for n in range(1, 11)]
 
 
 def test_weakstar_skips_empty(monkeypatch):
     import negbeta.measures as M
 
-    real = M._per_blocks
+    real, walked = M._per_blocks, []
 
-    def fake(aut, n):
-        return iter(()) if n == 5 else real(aut, n)
+    def fake(aut, ns):
+        walked.append(sorted(ns))
+        return ((n, w, k) for n, w, k in real(aut, ns) if n != 5)
 
     monkeypatch.setattr(M, "_per_blocks", fake)
     table = weakstar_diagnostic(GOLDEN, [4, 5, 6], 3)
     assert table.skipped == [5]
     assert table.ns == [4, 6]
+    assert walked == [[4, 5, 6]]
+    plain = weakstar_diagnostic(GOLDEN, [4, 6], 3)
+    assert (table.masses, table.deviations) == (plain.masses, plain.deviations)
+    # an empty order that a known measure holds is not walked again
+    empty = EmpiricalMeasure(5, 3, 0, {})
+    assert weakstar_diagnostic(GOLDEN, [4, 5, 6], 3, [empty]) == table
+    assert walked[-1] == [4, 6]
 
 
 def test_mu_empty_per(monkeypatch):
     import negbeta.measures as M
-    monkeypatch.setattr(M, "_per_blocks", lambda aut, n: iter(()))
-    with pytest.raises(EmptyPer):
+    monkeypatch.setattr(M, "_per_blocks", lambda aut, ns: iter(()))
+    with pytest.raises(EmptyPer, match="^no period-4 blocks$"):
         mu_n(GOLDEN, 4, 2)
+    assert mu_orders(GOLDEN, [4, 6], 2) == {
+        4: EmpiricalMeasure(4, 2, 0, {}), 6: EmpiricalMeasure(6, 2, 0, {})}
 
 
 def test_measure_json_round():

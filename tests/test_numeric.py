@@ -67,7 +67,7 @@ def test_golden_test():
     assert golden_test(BetaValue.from_rational(F(8, 5))) == "below"     # 1.6
     assert golden_test(BetaValue.from_rational(F(13, 8))) == "at_or_above"  # 1.625
     for beta in (B13, B2, BetaValue.golden()):
-        with pytest.raises(ValueError, match=r"^n >= 1 required$"):
+        with pytest.raises(ValueError, match=r"^horizon >= 1 required$"):
             golden_test(beta, horizon=0)
 
 

@@ -108,7 +108,7 @@ def test_figure_sequence_is_maximal():
     assert is_alt_shift_maximal(fig).status == "yes"
 
 
-def test_cmp_prefix_and_rotations():
+def test_cmp_prefix():
     g = EvPeriodicSeq.make((2,), (1,))
     assert cmp_prefix(word("21"), g) == EQ          # tie at prefix
     assert cmp_prefix(word("22"), g) == LT
