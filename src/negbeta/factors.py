@@ -10,9 +10,12 @@ The defining claims are decided for every admissible word of a chosen
 depth without listing the words: a sliding block code is a finite-state
 transducer, so the images of all words are swept layer by layer over the
 finitely many states (automaton state, last window-1 digits, image shape)
-of the suffix-match automaton times the code's window.  A word is named
-only as the counterexample of a failing claim, by a lexicographic walk
-over the same states.  The findings are returned as a structured report.
+of the suffix-match automaton times the code's window.  The same layers
+decide the ones-tail claim of the all-ones window code (w 1^window is
+refused for every w that is not all ones) at every length up to
+depth - window.  A word is named only as the counterexample of a failing
+claim, by a lexicographic walk over the same states.  The findings are
+returned as a structured report.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (EnumerationCapExceeded, NotOddPeriodic, OddOneRun,
-                     PatternMismatch, SpecPrefixTooShort, TooShort)
+                     PatternMismatch, TooShort)
 from .language import NO, YES, ShiftSpec, _Automaton, _lex_first, count_words
 from .numeric import golden_test
 from .order import EvPeriodicSeq, Word, word
@@ -175,7 +178,8 @@ def verify_factor(code: SlidingBlockCode, spec: ShiftSpec, depth: int) -> Factor
 
     The words are swept layer by layer as states (automaton state, last
     window-1 digits, image shape); the claims read the final layer's
-    shapes, and a failing claim names the least word that breaks it.
+    shapes, the ones-tail claim every layer up to depth - window, and a
+    failing claim names the least word that breaks it.
     """
     if depth <= code.window:
         raise TooShort("depth must exceed the window length")
@@ -207,10 +211,29 @@ def verify_factor(code: SlidingBlockCode, spec: ShiftSpec, depth: int) -> Factor
                 got.append((a, (nxt, win[1:], _after(shape, b))))
         return got
 
+    # ones_window: w 1^m is refused exactly when reading 1^m from the state
+    # of w says NO, because `read` drops a whole-prefix tie to its border
+    # before going on; w is not all ones once its image has a 2 or its tail
+    # holds another digit.  The first length with such a w fails the claim.
+    ones = (1,) * m
+    extends: dict = {}  # state -> 1^m is not refused after it
+
+    def ones_tail(node):
+        state, tail, shape = node
+        if not (shape[1] or any(a != 1 for a in tail)):
+            return False
+        if state not in extends:
+            extends[state] = aut.read(state, ones)[0] != NO
+        return extends[state]
+
     start = (aut.start, (), (0, False, False))
     layer = {start}
-    for _ in range(depth):
+    tail_fail = None
+    for length in range(1, depth + 1):
         layer = {node for src in layer for _a, node in children(src)}
+        if (code.kind == "ones_window" and tail_fail is None
+                and length <= depth - m and any(map(ones_tail, layer))):
+            tail_fail = length, _lex_first(start, length, children, ones_tail)
     shapes = {shape for _s, _t, shape in layer}
 
     bad_shape = None
@@ -232,7 +255,13 @@ def verify_factor(code: SlidingBlockCode, spec: ShiftSpec, depth: int) -> Factor
         "dropping the first input digit commutes with the code"))
 
     if code.kind == "ones_window":
-        claims.append(_ones_tail(aut, code, depth))
+        claims.append(
+            ClaimResult("ones_tail_forbidden", "fail",
+                        f"w 1^{m} admissible at |w|={tail_fail[0]}", _fmt(tail_fail[1]))
+            if tail_fail else
+            ClaimResult("ones_tail_forbidden", "pass",
+                        f"w 1^{m} inadmissible for every non-ones w up to "
+                        f"length {depth - m}"))
     else:
         claims.append(check_singleton_cylinder(code, spec, depth))
         claims.append(check_shifted_block_mismatch(code, spec))
@@ -249,48 +278,6 @@ def verify_factor(code: SlidingBlockCode, spec: ShiftSpec, depth: int) -> Factor
         _fmt((1,) * missing[0] + (2,) * (size - missing[0])) if missing else None))
     claims.append(_check_named_witnesses(aut, code, spec, depth))
     return FactorReport(code.kind, code.window, depth, claims)
-
-
-def check_ones_tail_forbidden(code: SlidingBlockCode, spec: ShiftSpec,
-                              depth: int) -> ClaimResult:
-    """No word other than an all-ones word extends by the all-ones window."""
-    return _ones_tail(_Automaton(spec), code, depth)
-
-
-def _ones_tail(aut: _Automaton, code: SlidingBlockCode, depth: int) -> ClaimResult:
-    # Per length, the states reached by words that are not all ones; w 1^n
-    # is refused exactly when reading 1^n from the state of w says NO,
-    # because `read` drops a whole-prefix tie to its border before going on.
-    n = code.window
-    ones = (1,) * n
-    extends: dict = {}  # state -> 1^n is not refused after it
-
-    def children(node):
-        state, mixed = node
-        return [(a, (nxt, mixed or a != 1)) for a, nxt in aut.successors(state)]
-
-    def accept(node):
-        state, mixed = node
-        if state not in extends:
-            extends[state] = aut.read(state, ones)[0] != NO
-        return mixed and extends[state]
-
-    start = (aut.start, False)
-    layer = {start}
-    for length in range(1, depth - n + 1):
-        try:
-            layer = {node for src in layer for _a, node in children(src)}
-        except SpecPrefixTooShort:
-            # the walk meets the short prefix, or a counterexample before it,
-            # in word order
-            layer = None
-        if layer is None or any(accept(node) for node in layer):
-            w = _lex_first(start, length, children, accept)
-            return ClaimResult("ones_tail_forbidden", "fail",
-                               f"w 1^{n} admissible at |w|={length}", _fmt(w))
-    return ClaimResult("ones_tail_forbidden", "pass",
-                       f"w 1^{n} inadmissible for every non-ones w up to "
-                       f"length {depth - n}")
 
 
 def check_singleton_cylinder(code: SlidingBlockCode, spec: ShiftSpec,

@@ -71,12 +71,12 @@ class ShiftSpec:
     origin: Optional[BetaValue] = field(default=None, compare=False)
 
     @staticmethod
-    def make(upper, lower=None, alphabet=None, origin=None) -> "ShiftSpec":
+    def make(upper, lower=None, origin=None) -> "ShiftSpec":
         """One-sided spec by default; pass lower="derived" for the two-sided
         odd-period semantics, or an explicit lower bound sequence."""
         if not isinstance(upper, EvPeriodicSeq):
             upper = word(upper)
-        check = is_alt_shift_maximal(upper, alphabet)
+        check = is_alt_shift_maximal(upper)
         if check.status == "no" and check.witness is None:
             raise ValueError("first digit of the upper bound must be the alphabet maximum")
         if check.status == "no":
@@ -668,23 +668,23 @@ def _per_blocks(aut: _Automaton, ns) -> Iterator[tuple[int, Word, int]]:
     walk reached, credit the p distinct rotations of w (p its least period).
     A shift of an n-periodic point can tie the whole of a finite upper
     prefix only if the prefix has period n (as every prefix of length H <= n
-    has); such an n is left out of the walk, which then raises nothing, and
-    after it every admissible word of length n is checked on its own (k =
-    1), n in the order of ns, so that HorizonExhausted names the first tie
-    in word order."""
+    has); such an n is left out of the walk, which then raises nothing.
+    Every admissible word of such a length is checked on its own (k = 1)
+    before the walk, n in the order of ns, so that HorizonExhausted names
+    the first tie in word order without a walk of the other lengths."""
     if any(n < 1 for n in ns):
         raise ValueError("n >= 1 required")
     up = aut.upper
     by_word = [n for n in dict.fromkeys(ns) if up.finite and all(
         up.digits[i] == up.digits[i + n] for i in range(up.known - n))]
-    if walked := set(ns).difference(by_word):
-        for n, w, p, state in _necklaces(aut, walked):
-            if _point_ok(aut, (), w, state):
-                yield n, w, p
     for n in by_word:
         for w in _lex_words(aut.start, n, aut.successors):
             if _point_ok(aut, (), w):
                 yield n, w, 1
+    if walked := set(ns).difference(by_word):
+        for n, w, p, state in _necklaces(aut, walked):
+            if _point_ok(aut, (), w, state):
+                yield n, w, p
 
 
 def _per_counts(aut: _Automaton, ns) -> dict[int, int]:

@@ -9,15 +9,7 @@ modules, so agreement between the two is meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    depth_cap: int = 12
-    horizon: int = 4096
-    seed: int = 20260809
 
 
 def _digit_of(bound, i):

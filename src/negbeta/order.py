@@ -178,8 +178,8 @@ class ShiftMaximality:
     witness: Optional[int] = None  # shift index k >= 1 with sigma^k(b) > b
 
 
-def is_alt_shift_maximal(b: BoundSeq, alphabet: Optional[int] = None) -> ShiftMaximality:
-    """Check that b starts with the alphabet maximum and dominates all its
+def is_alt_shift_maximal(b: BoundSeq) -> ShiftMaximality:
+    """Check that b starts with its largest digit and dominates all its
     shifts in the alternating order.
 
     Exact for eventually periodic sequences.  For a finite prefix the answer
@@ -187,8 +187,7 @@ def is_alt_shift_maximal(b: BoundSeq, alphabet: Optional[int] = None) -> ShiftMa
     never certify maximality.
     """
     if isinstance(b, EvPeriodicSeq):
-        alph = alphabet if alphabet is not None else b.max_digit
-        if b.digit(1) != alph:
+        if b.digit(1) != b.max_digit:
             return ShiftMaximality("no", None)
         for k in range(1, len(b.preperiod) + len(b.period)):
             if alt_cmp_seq(b.shift(k), b) == GT:
@@ -197,8 +196,7 @@ def is_alt_shift_maximal(b: BoundSeq, alphabet: Optional[int] = None) -> ShiftMa
     w = word(b)
     if not w:
         raise ValueError("empty prefix")
-    alph = alphabet if alphabet is not None else max(w)
-    if w[0] != alph:
+    if w[0] != max(w):
         return ShiftMaximality("no", None)
     for k in range(1, len(w)):
         if cmp_prefix(w[k:], w) == GT:

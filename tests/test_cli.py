@@ -191,6 +191,8 @@ VERB_DIGESTS = {
         "weakstar.csv": "3995134077d36542bf4232f2cdea7b96cc7a3123cc7b72b2a6fb2080775fa5c5"},
     "factor --beta 2 --depth 12": {
         "factor_report.json": "cf7b8d168c4d2a650efa95dcb50d391a44d20fa994bac8c8595509f7239c66a3"},
+    "factor --beta 13/10 --depth 12": {
+        "factor_report.json": "add75339315250b7b7c00150b3c23dfd7577f8ad2244b9a2e741535ceebf012b"},
 }
 
 
@@ -516,6 +518,7 @@ README_EXAMPLES = [
     "glue    --beta golden --L 2 --M 4 --words-file words.txt",
     "measure --beta golden --n 12 --m 4 --L 2",
     "factor  --beta 2 --depth 12",
+    "factor  --beta 13/10 --depth 12",
 ]
 
 

@@ -11,7 +11,6 @@ from negbeta.errors import (EnumerationCapExceeded, NegBetaError,
                             SpecPrefixTooShort, TooShort)
 from negbeta.factors import (ClaimResult, FactorReport, SlidingBlockCode,
                              build_case1_code, build_case2_code,
-                             check_ones_tail_forbidden,
                              check_shifted_block_mismatch,
                              check_singleton_cylinder, in_x_language,
                              verify_factor, x_language)
@@ -47,7 +46,7 @@ def test_build_case1():
         build_case1_code(GOLDEN)          # at the golden base, not below
     # hand-made bound reading 2 1 2 2: the one-run has odd length
     with pytest.raises(OddOneRun):
-        build_case1_code(ShiftSpec.make(word("2122"), alphabet=2))
+        build_case1_code(ShiftSpec.make(word("2122")))
 
 
 def test_build_case2():
@@ -92,7 +91,8 @@ def test_verify_case2():
 
 def test_ones_tail_forbidden_exhaustive():
     code = build_case1_code(B13)
-    claim = check_ones_tail_forbidden(code, B13, 10)
+    claim = next(c for c in verify_factor(code, B13, 10).claims
+                 if c.claim == "ones_tail_forbidden")
     assert claim.status == "pass"
     # spot checks: a single 2 anywhere kills a 111 tail
     assert is_admissible(B13, word("2111")) == "no"
@@ -180,7 +180,7 @@ def _fmt(w):
 
 
 def _reference_ones_tail(code, spec, depth):
-    """check_ones_tail_forbidden as a loop over every shorter word."""
+    """verify_factor's ones-tail claim as a loop over every shorter word."""
     n = code.window
     ones = (1,) * n
     for length in range(1, depth - n + 1):
@@ -290,14 +290,15 @@ def test_ones_tail_matches_reference_on_short_prefixes():
     # past a short prefix, w 1^n reads through whole-prefix ties, which the
     # reader drops to their borders: the per-state memo relies on that.  On
     # the prefix 211, 2 111 ties it whole and is undetermined, not refused.
+    # A depth whose words the prefix cannot decide raises on both sides.
     assert is_admissible(B13_BY_PREFIX[3], word("2111")) == "undetermined"
     for n in (12, 8, 6, 4, 3):
         spec = B13_BY_PREFIX[n]
         for code in (SlidingBlockCode(3, "ones_window"),
                      SlidingBlockCode(2, "ones_window")):
             for depth in range(code.window + 1, 17):
-                assert _outcome(check_ones_tail_forbidden, code, spec, depth) == \
-                    _outcome(_reference_ones_tail, code, spec, depth), (n, code, depth)
+                assert _outcome(verify_factor, code, spec, depth) == \
+                    _outcome(_reference_verify, code, spec, depth), (n, code, depth)
 
 
 def test_depth_must_exceed_window():

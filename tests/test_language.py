@@ -485,3 +485,19 @@ def test_one_walk_serves_every_length(spec, ns, m):
         want = (measures.mu_n(spec, n, m) if single[n]
                 else measures.EmpiricalMeasure(n, m, 0, {}))
         assert mus[n] == want
+
+
+def test_word_order_lengths_raise_before_the_walk(monkeypatch):
+    # a length the finite prefix 21122 ties (period 4, or H <= n) raises in
+    # word order before the necklaces of the other lengths are walked
+    walked, necklaces = [], language._necklaces
+
+    def spy(aut, ns):
+        walked.append(sorted(ns))
+        return necklaces(aut, ns)
+
+    monkeypatch.setattr(language, "_necklaces", spy)
+    with pytest.raises(HorizonExhausted, match=r"^\(2112\)\^inf ties the 5-digit "
+                       r"upper prefix; extend the prefix$"):
+        count_words(ShiftSpec.make((2, 1, 1, 2, 2)), 5, with_per=True)
+    assert walked == []

@@ -26,8 +26,3 @@ def test_naive_per_small():
     assert oracle.naive_per(GOLDEN, 1) == [(1,), (2,)]
     b2 = ShiftSpec.from_beta(BetaValue.from_rational(2))
     assert oracle.naive_per(b2, 1) == [(1,), (2,), (3,)]
-
-
-def test_config_defaults():
-    cfg = oracle.OracleConfig()
-    assert cfg.depth_cap > 0 and cfg.seed == 20260809
