@@ -23,7 +23,7 @@ from typing import Optional
 from .errors import GlueFailed, NoSelfLoop, NotInGM, TruncationInsufficient
 from .graph import (GraphSlice, _dist_to_v0, _least_return, _rows, gap_scan,
                     path_count, path_counts, path_words, walk)
-from .language import NO, ShiftSpec, _Automaton, periodic_block_ok
+from .language import NO, ShiftSpec, periodic_block_ok
 from .order import Word, _primitive_root, word
 
 
@@ -296,7 +296,7 @@ def _search_connectors(spec: ShiftSpec, words: list[Word], gap: int,
     glued block verifies; each verification spends one unit of budget.
     Slot i offers the length-gap followers v of words[i] in order, kept
     when words[i] v words[i+1] reads without a broken bound."""
-    aut = _Automaton(spec)
+    aut = spec._automaton
     pruned = []
     for i, w in enumerate(words):
         verdict, state = aut.read(aut.start, w)

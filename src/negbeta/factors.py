@@ -190,7 +190,7 @@ def verify_factor(code: SlidingBlockCode, spec: ShiftSpec, depth: int) -> Factor
         raise EnumerationCapExceeded(
             f"the admissible words of length {depth} outnumber the "
             f"enumeration cap of {_ENUMERATION_CAP}")
-    aut = _Automaton(spec)
+    aut = spec._automaton
     m = code.window
     symbols: dict[Word, int] = {}
     moves: dict = {}
@@ -288,7 +288,7 @@ def check_singleton_cylinder(code: SlidingBlockCode, spec: ShiftSpec,
     leaves the continuation."""
     up = _bound_seq(spec)
     n = code.window // 3
-    aut = _Automaton(spec)
+    aut = spec._automaton
     for i in range(1, n + 1):
         base = tuple(up.digit(i + j) for j in range(code.window))
         expected = tuple(up.digit(i + j) for j in range(depth))

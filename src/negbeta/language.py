@@ -10,17 +10,19 @@ within bounds.
 Membership, enumeration, counting, follower sets, periodic blocks and
 eventually periodic points all run on one suffix-match automaton whose
 state is the pair of longest suffix ties with the upper and lower bound
-prefixes.  It is finite: an eventually periodic bound's track
-is folded (the lemma at `_Track`), and a finite prefix's ends at its
-length.  Its reader (`_Automaton.read`) decides a word from any state as
-"yes", "no" or, when a suffix ties the whole of a finite upper prefix and
-runs past it, "undetermined"; a periodic point is read through it until
-the state at a block boundary repeats.  The graph layer reuses its
-upper-bound track: its vertex V_k is the upper match length k.  Walks are
-counted, on the automaton (`count_words`) and on the graph layer's folded
-slices (`graph.path_counts`, `graph.path_count`), by one kernel whose DP a
-certified linear recurrence cuts short: `_walk_counts` extends the counts
-by the recurrence, `_walk_count` jumps to one length.
+prefixes.  Each spec has one, built on its first query and kept for the
+spec's lifetime, so its memoised rows serve every later query and every
+layer that asks about the spec.  It is finite: an eventually periodic
+bound's track is folded (the lemma at `_Track`), and a finite prefix's
+ends at its length.  Its reader (`_Automaton.read`) decides a word from
+any state as "yes", "no" or, when a suffix ties the whole of a finite
+upper prefix and runs past it, "undetermined"; a periodic point is read
+through it until the state at a block boundary repeats.  The graph layer
+reuses its upper-bound track: its vertex V_k is the upper match length k.
+Walks are counted, on the automaton (`count_words`) and on the graph
+layer's folded slices (`graph.path_counts`, `graph.path_count`), by one
+kernel whose DP a certified linear recurrence cuts short: `_walk_counts`
+extends the counts by the recurrence, `_walk_count` jumps to one length.
 
 The period-n blocks form rotation classes, so one walk serves every length
 asked for: the admissible prenecklaces are grown in lexicographic order
@@ -38,6 +40,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul
 from typing import Iterator, Optional
 
@@ -130,6 +133,13 @@ class ShiftSpec:
         side = "two-sided" if self.two_sided else "one-sided"
         return f"{side} shift over 1..{self.alphabet}, upper {self.upper}"
 
+    @cached_property
+    def _automaton(self) -> "_Automaton":
+        # kept in the instance __dict__, beside the fields: ==, hash, repr
+        # and dataclasses.replace see the bounds only, and a replaced spec
+        # builds its own automaton
+        return _Automaton(self)
+
 
 class _Track:
     """Suffix matching against one bound sequence (a KMP automaton).
@@ -142,7 +152,9 @@ class _Track:
     bound, 0 for plain matching.  An upper bound must dominate its shifts
     (as every spec's upper bound does): then a digit that extends some tie
     breaks none of the shorter ones; a lower bound's digit extends a tie
-    only when no shorter tie refuses it.  Results are memoised per instance.
+    only when no shorter tie refuses it.  Results are memoised in the track;
+    a spec's tracks belong to its automaton, so the memo is kept per spec
+    and shared by its queries (why that is safe: `_Automaton`).
 
     A finite prefix keeps raw match lengths.  An eventually periodic bound
     b = pre per^inf is folded at (N, P): the track keeps the first N + P
@@ -267,7 +279,21 @@ class _Automaton:
     stays 0 for one-sided shifts.  A periodic bound's track has N + P
     states, so there are at most their product.  `_next` steps both tracks
     by one digit; the transitions out of a state are built from it for the
-    whole alphabet at the state's first visit and memoised per instance.
+    whole alphabet at the state's first visit and memoised.
+
+    A spec has one automaton (`ShiftSpec._automaton`), kept for the spec's
+    lifetime, and every query on the spec reads the rows that earlier
+    queries memoised.  Sharing is safe:
+      - every memo entry (a track's answer for a state and a digit, the
+        fail table, an out-row) is a pure function of the spec's bounds,
+        so no query leaves an answer that another query would not compute;
+      - `_Track.advance` raises SpecPrefixTooShort only at its entry,
+        before it writes any memo entry (the border chain it walks then
+        only shrinks);
+      - `_out` stores a row only after every digit of it is decided.
+    So a query that raises mid-walk (HorizonExhausted, SpecPrefixTooShort)
+    leaves no partial row, and the next query sees what a fresh automaton
+    would compute.
     """
 
     start = (0, 0)
@@ -353,7 +379,7 @@ def is_admissible(spec: ShiftSpec, w) -> str:
     (violation-freeness; validated against completion searches in the
     tests).
     """
-    aut = _Automaton(spec)
+    aut = spec._automaton
     return aut.read(aut.start, word(w))[0]
 
 
@@ -418,7 +444,7 @@ def iter_words(spec: ShiftSpec, n: int) -> Iterator[Word]:
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    aut = _Automaton(spec)
+    aut = spec._automaton
     yield from _lex_words(aut.start, n, aut.successors)
 
 
@@ -572,7 +598,7 @@ def count_words(spec: ShiftSpec, nmax: int, with_per: bool = False) -> CountTabl
     len(digits) states when folded, one more for a finite prefix."""
     if nmax < 1:
         raise ValueError("nmax >= 1 required")
-    aut = _Automaton(spec)
+    aut = spec._automaton
     size = math.prod(len(t.digits) + t.finite for t in (aut.upper, aut.lower) if t)
     counts = _walk_counts(aut.start, nmax, lambda s: aut._out(s).values(), size)
     rows = [{"n": n, "count_words": count, "exact": True}
@@ -708,12 +734,12 @@ def per_points(spec: ShiftSpec, n: int) -> list[Word]:
     are found by necklace, one check per rotation class whose members are
     then listed; `_per_blocks` says when a finite prefix is checked word by
     word instead."""
-    return _per_points(_Automaton(spec), n)
+    return _per_points(spec._automaton, n)
 
 
 def per_count(spec: ShiftSpec, n: int) -> int:
     """len(per_points(spec, n)) without listing the blocks (`_per_counts`)."""
-    return _per_counts(_Automaton(spec), [n])[n]
+    return _per_counts(spec._automaton, [n])[n]
 
 
 def entropy_profile(table: CountTable) -> list[dict]:
@@ -733,7 +759,7 @@ def entropy_profile(table: CountTable) -> list[dict]:
 def follower_words(spec: ShiftSpec, w, depth: int) -> list[Word]:
     """All length-`depth` words u with w u admissible."""
     w = word(w)
-    aut = _Automaton(spec)
+    aut = spec._automaton
     state = aut.run(w)
     if depth < 1:
         return []
@@ -746,13 +772,13 @@ def periodic_block_ok(spec: ShiftSpec, p) -> bool:
     p = word(p)
     if not p:
         raise ValueError("a periodic block must be nonempty")
-    return _point_ok(_Automaton(spec), (), p)
+    return _point_ok(spec._automaton, (), p)
 
 
 def seq_within_bounds(spec: ShiftSpec, seq: EvPeriodicSeq) -> bool:
     """Exact membership of an eventually periodic point: every shift stays
     within the bounds.  Distinct shifts are finite in number."""
-    return _point_ok(_Automaton(spec), seq.preperiod, seq.period)
+    return _point_ok(spec._automaton, seq.preperiod, seq.period)
 
 
 def eventually_periodic_completion(spec: ShiftSpec, w) -> Optional[EvPeriodicSeq]:
@@ -766,7 +792,7 @@ def eventually_periodic_completion(spec: ShiftSpec, w) -> Optional[EvPeriodicSeq
     nothing.
     """
     w = word(w)
-    aut = _Automaton(spec)
+    aut = spec._automaton
     verdict, state = aut.read(aut.start, w)
     if verdict == NO:
         return None

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import EmptyPer
-from .language import (CountTable, ShiftSpec, _Automaton, _per_blocks,
-                       _per_counts, count_words)
+from .language import (CountTable, ShiftSpec, _per_blocks, _per_counts,
+                       count_words)
 from .order import Word, word
 
 
@@ -74,7 +74,7 @@ def mu_orders(spec: ShiftSpec, ns: Sequence[int], m: int) -> dict[int, Empirical
     if not ns or not 1 <= m <= min(ns):
         raise ValueError("need 1 <= m <= n")
     hits = {n: Counter() for n in ns}
-    for n, w, k in _per_blocks(_Automaton(spec), list(hits)):
+    for n, w, k in _per_blocks(spec._automaton, list(hits)):
         ww = w + w
         hits[n].update(ww[i:i + ell] for i in range(k) for ell in range(1, m + 1))
     got = {}
@@ -134,7 +134,7 @@ def htop_from_table(spec: ShiftSpec, table: CountTable) -> EntropyEstimate:
             for n, c in enumerate(counts, start=1)]
     known = {r["n"]: r["count_per"] for r in table.rows if "count_per" in r}
     ns = range(1, min(nmax, 12) + 1)
-    known.update(_per_counts(_Automaton(spec), [n for n in ns if n not in known]))
+    known.update(_per_counts(spec._automaton, [n for n in ns if n not in known]))
     pcounts = [known[n] for n in ns]
     pest = [math.log(c) / n if c > 0 else None
             for n, c in enumerate(pcounts, start=1)]

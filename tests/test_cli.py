@@ -3,11 +3,12 @@ import json
 import shutil
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from negbeta import cli, language, measures, numeric
+from negbeta import cli, decomposition, factors, language, measures, numeric
 from negbeta.cli import main
 from negbeta.numeric import BetaValue, golden_test
 
@@ -332,6 +333,52 @@ def test_entropy_walks_its_period_blocks_once(tmp_path, monkeypatch):
     assert run(["entropy", "--beta", "golden", "--n", "10",
                 "--out", tmp_path / "e"]) == 0
     assert walked == [list(range(1, 11))]
+
+
+@pytest.fixture
+def built_automata(monkeypatch) -> list:
+    """The spec of every suffix-match automaton built, one entry a build."""
+    built, init = [], language._Automaton.__init__
+
+    def spy(self, spec):
+        built.append(spec)
+        init(self, spec)
+
+    monkeypatch.setattr(language._Automaton, "__init__", spy)
+    return built
+
+
+@pytest.mark.parametrize("args", [
+    ["entropy", "--beta", "golden", "--n", "10"],
+    ["measure", "--beta", "golden", "--n", "9", "--m", "4", "--L", "2"],
+    ["factor", "--beta", "2", "--depth", "9"],
+    ["factor", "--beta", "13/10", "--depth", "12"],
+    ["glue", "--beta", "golden", "--L", "2", "--M", "4", "--words-file", "words.txt"],
+])
+def test_each_verb_builds_one_automaton(tmp_path, monkeypatch, built_automata, args):
+    # the spec of a verb keeps its automaton, so the counts, the period
+    # blocks, the factor sweep and every glue candidate share one build
+    (tmp_path / "words.txt").write_text("2\n21\n112\n")
+    searched, search = [], decomposition._search_connectors
+
+    def spy(*call):
+        searched.append(call)
+        return search(*call)
+
+    monkeypatch.setattr(decomposition, "_search_connectors", spy)
+    monkeypatch.chdir(tmp_path)
+    assert run([*args, "--out", tmp_path / "out"]) == 0
+    assert len(built_automata) == 1
+    assert bool(searched) == (args[0] == "glue")  # golden's words take the search
+
+
+def test_verify_factor_builds_one_automaton(built_automata):
+    for beta, build in ((2, factors.build_case2_code),
+                        (Fraction(13, 10), factors.build_case1_code)):
+        spec = language.ShiftSpec.from_beta(BetaValue.from_rational(beta))
+        factors.verify_factor(build(spec), spec, 12)
+        assert built_automata == [spec]
+        built_automata.clear()
 
 
 def test_measure_command(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction as F
@@ -7,7 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from negbeta import language, measures, oracle
-from negbeta.errors import HorizonExhausted, NotOddPeriodic, SpecPrefixTooShort
+from negbeta.errors import (EmptyPer, HorizonExhausted, NegBetaError, NotOddPeriodic,
+                            SpecPrefixTooShort)
 from negbeta.graph import build_graph_for_spec, k_of, path_count, path_words
 from negbeta.language import (CountTable, ShiftSpec, count_words,
                               derived_lower_bound, entropy_profile,
@@ -182,8 +184,13 @@ def test_automaton_states_stop_growing_with_n(monkeypatch):
         fib.append(fib[-1] + fib[-2])
     two = ShiftSpec.from_beta(BetaValue.from_rational(2))
     for spec in (GOLDEN, FIG, two):
-        counts = count_words(spec, 1000).rows
-        count_words(spec, 200)
+        # a spec keeps its automaton, so each length runs on an equal but
+        # distinct spec and builds a fresh one
+        long, short = dataclasses.replace(spec), dataclasses.replace(spec)
+        counts = count_words(long, 1000).rows
+        count_words(short, 200)
+        assert built[-2:] == [long._automaton, short._automaton]
+        assert built[-2] is not built[-1]
         states = [set(aut._moves) for aut in built[-2:]]
         assert states[0] == states[1]
         aut = built[-1]
@@ -501,3 +508,89 @@ def test_word_order_lengths_raise_before_the_walk(monkeypatch):
                        r"upper prefix; extend the prefix$"):
         count_words(ShiftSpec.make((2, 1, 1, 2, 2)), 5, with_per=True)
     assert walked == []
+
+
+_QUERIES = st.lists(st.one_of(
+    st.tuples(st.just("is_admissible"), st.lists(st.integers(1, 4), max_size=8).map(tuple)),
+    st.tuples(st.just("periodic_block_ok"),
+              st.lists(st.integers(1, 4), min_size=1, max_size=6).map(tuple)),
+    st.tuples(st.just("per_points"), st.integers(1, 6)),
+    st.tuples(st.just("count_words"), st.integers(1, 6)),
+    st.tuples(st.just("mu_n"), st.integers(1, 6), st.integers(1, 3))),
+    min_size=1, max_size=6)
+
+
+def _ask(spec, query):
+    """The answer to one query, or the type and message of its refusal."""
+    name, *args = query
+    try:
+        if name == "count_words":
+            return count_words(spec, args[0], with_per=True).rows
+        if name == "mu_n":
+            n, m = args
+            return measures.mu_n(spec, n, min(m, n))
+        return getattr(language, name)(spec, *args)
+    except NegBetaError as exc:
+        return type(exc), str(exc)
+
+
+def _oracle_agrees(spec, query, got) -> bool:
+    """Whether an answer agrees with the oracle, where the oracle decides."""
+    name, arg, *_ = query
+    if name == "is_admissible":
+        return got == oracle.naive_admissible(spec, arg)
+    if name == "periodic_block_ok":
+        try:
+            want = all(oracle._repeat_in_bounds(spec, arg[i:] + arg[:i])
+                       for i in range(len(arg)))
+        except RuntimeError:
+            want = None  # a rotation ties the whole prefix
+        # a point read to its repeat meets every tie, so only a refusal or
+        # a broken bound may stand beside an undecided oracle
+        return (got is True) == (want is True)
+    if spec.alphabet ** arg > 3 ** 6:
+        return True
+    lengths = range(1, arg + 1) if name == "count_words" else [arg]
+    try:
+        per = [oracle.naive_per(spec, n) for n in lengths]
+    except RuntimeError:
+        return type(got) is tuple and got[0] in (HorizonExhausted, SpecPrefixTooShort)
+    if name == "per_points":
+        return got == per[-1]
+    if name == "mu_n":
+        return (got.per_count if per[-1] else got) == (
+            len(per[-1]) if per[-1] else (EmptyPer, f"no period-{arg} blocks"))
+    if type(got) is tuple:
+        return got[0] is SpecPrefixTooShort and spec.prefix_mode
+    words = [itertools.product(range(1, spec.alphabet + 1), repeat=n)
+             for n in range(1, arg + 1)]
+    return got == [{"n": n, "count_words": sum(oracle.naive_admissible(spec, w) == "yes"
+                                               for w in ws),
+                    "exact": True, "count_per": len(p)}
+                   for n, ws, p in zip(range(1, arg + 1), words, per)]
+
+
+@given(st.one_of(_RATIONAL_SPECS, _bound_specs(), _prefix_specs()), _QUERIES)
+# on the 5-digit prefix 21122 a refused query is followed by answered ones
+@example(_TIED, [("count_words", 6), ("per_points", 4), ("per_points", 3),
+                 ("mu_n", 4, 2), ("count_words", 5), ("mu_n", 3, 2),
+                 ("periodic_block_ok", (2, 1, 1, 2)), ("periodic_block_ok", (2, 1))])
+@example(ShiftSpec.make((2, 1, 1, 2, 2, 2, 1)),
+         [("per_points", 6), ("is_admissible", (2, 1, 1, 2, 2, 2, 1, 1)),
+          ("count_words", 4), ("per_points", 5)])
+@example(B2, [("count_words", 5), ("mu_n", 4, 3), ("periodic_block_ok", (3, 1))])
+@settings(max_examples=200, deadline=None)
+def test_shared_automaton_answers_as_fresh_ones(spec, queries):
+    # every query runs on the one spec object, whose automaton keeps the
+    # rows of the queries before it, and on a fresh equal spec
+    aut = spec._automaton
+    for query in queries:
+        got = _ask(spec, query)
+        assert got == _ask(dataclasses.replace(spec), query)
+        assert _oracle_agrees(spec, query, got)
+    assert spec._automaton is aut
+    # a refused query stored no row at a whole-prefix tie, and every stored
+    # row is the one a fresh automaton computes
+    fresh = language._Automaton(spec)
+    assert all(aut._out(state) == fresh._out(state) for state in list(aut._moves))
+    assert all(state[0] != aut.upper.known for state in aut._moves)
