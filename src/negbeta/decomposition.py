@@ -116,16 +116,6 @@ class BoundReport:
     def all_ok(self) -> bool:
         return all(r["ok"] for r in self.rows)
 
-    def to_json(self) -> dict:
-        return {
-            "L": self.L, "N": self.N, "alphabet": self.alphabet,
-            "window": self.window,
-            "far_edge_certified": self.far_edge_certified,
-            "monotone_ok": self.monotone_ok,
-            "epsilon_for_N": self.epsilon_for_N,
-            "rows": self.rows, "all_ok": self.all_ok,
-        }
-
 
 def bound_check(graph: GraphSlice, L: int, N: int, qmax: int) -> BoundReport:
     """Verify the excursion-count bounds on computed exact counts.

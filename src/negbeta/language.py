@@ -95,7 +95,7 @@ class ShiftSpec:
     @staticmethod
     def golden() -> "ShiftSpec":
         """The shift bounded by 2(1)^inf, i.e. base (1+sqrt 5)/2."""
-        return ShiftSpec.make(GOLDEN_UPPER, origin=BetaValue.golden())
+        return ShiftSpec(2, GOLDEN_UPPER, origin=BetaValue.golden())
 
     @staticmethod
     def from_beta(beta: BetaValue, horizon: int = 256,
@@ -107,13 +107,22 @@ class ShiftSpec:
         Only an integer base b has a cycle, (b+1)^inf, certified when
         horizon >= 2 (the lemma at `numeric._d1_cycle`), so on every other
         base horizon is only validated.
+
+        The bound is not checked for shift maximality, as `make` checks a
+        bound from outside: the map T sends (0, 1] into itself and the
+        expansion d is increasing in the alternating order, so
+        sigma^n d(1) = d(T^n 1) <= d(1) for every n (Ito-Sadahiro 2009), and
+        no certified prefix of d(1) is refuted; (b+1)^inf ties its shifts.
         """
         cycle = _d1_cycle(beta, horizon)
         if cycle is not None:
-            return ShiftSpec.make(EvPeriodicSeq.make((), cycle), lower="derived",
-                                  origin=beta)
+            upper = EvPeriodicSeq((), cycle)  # a single digit is canonical
+            return ShiftSpec(cycle[0], upper, derived_lower_bound(upper), beta)
         got = expand(beta, 1, prefix_len)
-        return ShiftSpec.make(got.digits[: got.certified], origin=beta)
+        upper = got.digits[: got.certified]
+        if not upper:
+            raise ValueError("empty prefix")
+        return ShiftSpec(upper[0], upper, origin=beta)
 
     @property
     def two_sided(self) -> bool:
@@ -128,10 +137,6 @@ class ShiftSpec:
 
     def upper_len(self) -> float:
         return bound_len(self.upper)
-
-    def describe(self) -> str:
-        side = "two-sided" if self.two_sided else "one-sided"
-        return f"{side} shift over 1..{self.alphabet}, upper {self.upper}"
 
     @cached_property
     def _automaton(self) -> "_Automaton":
@@ -156,7 +161,8 @@ class _Track:
     a spec's tracks belong to its automaton, so the memo is kept per spec
     and shared by its queries (why that is safe: `_Automaton`).
 
-    A finite prefix keeps raw match lengths.  An eventually periodic bound
+    Either kind builds its failure table once, at construction.  A finite
+    prefix keeps raw match lengths.  An eventually periodic bound
     b = pre per^inf is folded at (N, P): the track keeps the first N + P
     digits and returns N wherever the match length would be N + P, so its
     states are 0 .. N + P - 1.  By the lemma, rows k and k + P agree for
@@ -208,7 +214,7 @@ class _Track:
         if self.finite:
             self.N = self.P = None
             self.known, self.digits, self.wrap = len(bound), list(bound), {}
-            self.fail = [0]
+            self.fail = _failure_table(bound)
             return
         q = len(bound.period)
         P = q if q % 2 == 0 else 2 * q
@@ -219,16 +225,6 @@ class _Track:
             fail = _failure_table(bound.prefix(N + P))
         self.N, self.P, self.known, self.fail = N, P, math.inf, fail
         self.digits, self.wrap = list(bound.prefix(N + P)), {N + P: N}
-
-    def border(self, k: int) -> int:
-        """fail[k], the longest proper border of the tie b_1 .. b_k."""
-        if k >= len(self.fail):
-            # a finite prefix's table grows on demand: a fourfold step
-            # rebuilds less than doubling would when ties climb one digit at
-            # a time (the rows of its graph slice), and stays short for the
-            # few-digit ties of a membership test
-            self.fail = _failure_table(self.digits[: 4 * k + 4])
-        return self.fail[k]
 
     def advance(self, k: int, a: int) -> Optional[int]:
         """The state after appending digit a, or None when a breaks the
@@ -251,7 +247,7 @@ class _Track:
             else:
                 memo = self.memo.setdefault(a, {})
                 chain.append(k)
-                k = self.fail[k] if k < len(self.fail) else self.border(k)
+                k = self.fail[k]
                 got = memo.get(k, memo)
                 if got is memo:
                     continue
@@ -284,9 +280,9 @@ class _Automaton:
     A spec has one automaton (`ShiftSpec._automaton`), kept for the spec's
     lifetime, and every query on the spec reads the rows that earlier
     queries memoised.  Sharing is safe:
-      - every memo entry (a track's answer for a state and a digit, the
-        fail table, an out-row) is a pure function of the spec's bounds,
-        so no query leaves an answer that another query would not compute;
+      - every memo entry (a track's answer for a state and a digit, an
+        out-row) is a pure function of the spec's bounds, so no query
+        leaves an answer that another query would not compute;
       - `_Track.advance` raises SpecPrefixTooShort only at its entry,
         before it writes any memo entry (the border chain it walks then
         only shrinks);
@@ -345,7 +341,7 @@ class _Automaton:
         # A tie with the whole of a finite upper prefix is undecided for
         # good; its longest border carries the shorter live ties.
         if state[0] == self.upper.known:
-            return self.upper.border(state[0]), state[1]
+            return self.upper.fail[state[0]], state[1]
         return state
 
     def read(self, state: tuple[int, int], w: Word) -> tuple[str, Optional[tuple[int, int]]]:

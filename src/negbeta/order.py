@@ -185,20 +185,23 @@ def is_alt_shift_maximal(b: BoundSeq) -> ShiftMaximality:
     Exact for eventually periodic sequences.  For a finite prefix the answer
     is "no" (with a witness shift) or "undecided": a prefix can refute but
     never certify maximality.
+
+    Both read one plain prefix w.  For b = pre per^inf, with m = |pre| +
+    |per|, w holds 2m digits: shifts from m on repeat earlier ones, and
+    sigma^k b agrees with b forever once it agrees on the first m digits
+    (past digit |pre| both repeat per), which w[k:] covers for k < m.
     """
     if isinstance(b, EvPeriodicSeq):
-        if b.digit(1) != b.max_digit:
-            return ShiftMaximality("no", None)
-        for k in range(1, len(b.preperiod) + len(b.period)):
-            if alt_cmp_seq(b.shift(k), b) == GT:
-                return ShiftMaximality("no", k)
-        return ShiftMaximality("yes")
-    w = word(b)
-    if not w:
-        raise ValueError("empty prefix")
+        m = len(b.preperiod) + len(b.period)
+        w, end = b.prefix(2 * m), ShiftMaximality("yes")
+    else:
+        w = word(b)
+        if not w:
+            raise ValueError("empty prefix")
+        m, end = len(w), ShiftMaximality("undecided")
     if w[0] != max(w):
         return ShiftMaximality("no", None)
-    for k in range(1, len(w)):
+    for k in range(1, m):
         if cmp_prefix(w[k:], w) == GT:
             return ShiftMaximality("no", k)
-    return ShiftMaximality("undecided")
+    return end

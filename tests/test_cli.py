@@ -309,6 +309,21 @@ def test_bound_file_horizon_below_one_exits_2(tmp_path, capsys):
             assert not out.exists()
 
 
+def test_bound_file_not_shift_maximal_exits_2(tmp_path, capsys):
+    # a bound from outside the program is still checked at the boundary
+    bound, words = tmp_path / "b.txt", tmp_path / "w.txt"
+    bound.write_text("3 2 | 3 1\n")
+    words.write_text("2\n21\n")
+    for verb in (["graph", "--K", "4"], ["entropy"],
+                 ["glue", "--words-file", words], ["measure"],
+                 ["factor", "--beta", "2"]):
+        out = tmp_path / verb[0]
+        assert run([*verb, "--b-file", bound, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: upper bound is not alternately shift maximal (shift 2)\n")
+        assert not out.exists()
+
+
 def _spy_walks(monkeypatch) -> list:
     """The lengths of every necklace walk started, one sorted list a walk."""
     walked, necklaces = [], language._necklaces

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from negbeta import language, measures, oracle
+from negbeta import language, measures, oracle, order
 from negbeta.errors import (EmptyPer, HorizonExhausted, NegBetaError, NotOddPeriodic,
                             SpecPrefixTooShort)
 from negbeta.graph import build_graph_for_spec, k_of, path_count, path_words
@@ -40,6 +40,44 @@ def test_spec_first_digit_message():
         ShiftSpec.make((1, 2))
     with pytest.raises(ValueError, match=r"shift maximal \(shift 1\)"):
         ShiftSpec.make((2, 2, 1))
+
+
+def test_from_beta_bound_is_never_refuted():
+    # from_beta skips make's shift-maximality check (the argument is in its
+    # docstring): on every base p/q with q <= 40 and p/q <= 6, at its
+    # default 64 digits, each integer up to 9 and golden, make accepts the
+    # bound and builds the same spec, lower bound included
+    bases = {F(p, q) for q in range(1, 41) for p in range(q + 1, 6 * q + 1)}
+    for beta in [*map(BetaValue.from_rational, bases | set(range(2, 10))),
+                 BetaValue.golden()]:
+        spec = ShiftSpec.from_beta(beta)
+        assert spec.two_sided == (beta.is_exact and beta.exact.denominator == 1)
+        assert is_alt_shift_maximal(spec.upper).status != "no", beta
+        lower = "derived" if spec.two_sided else None
+        assert spec == ShiftSpec.make(spec.upper, lower=lower), beta
+    assert GOLDEN == ShiftSpec.make(GOLDEN.upper)
+
+
+def test_from_beta_refuses_an_empty_prefix():
+    # an interval base whose first digit is not decided certifies no digit
+    with pytest.raises(ValueError, match="empty prefix"):
+        ShiftSpec.from_beta(BetaValue(lo=F(3, 2), hi=F(5, 2)))
+
+
+def test_from_beta_and_golden_skip_the_check(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bound from a base was checked again")
+
+    monkeypatch.setattr(ShiftSpec, "make", staticmethod(refuse))
+    monkeypatch.setattr(language, "is_alt_shift_maximal", refuse)
+    monkeypatch.setattr(order, "is_alt_shift_maximal", refuse)
+    for b in (2, 9):  # the derived lower bound is made canonical, with word()
+        assert ShiftSpec.from_beta(BetaValue.from_rational(b)).two_sided
+    monkeypatch.setattr(order, "word", refuse)
+    for b in (F(13, 10), F(5, 2), F(41, 7)):
+        assert ShiftSpec.from_beta(BetaValue.from_rational(b)).prefix_mode
+    assert ShiftSpec.from_beta(BetaValue.golden()).prefix_mode
+    assert ShiftSpec.golden().upper == EvPeriodicSeq((2,), (1,))
 
 
 def test_admissibility_examples():

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 import negbeta
 from negbeta.errors import LengthMismatch
-from negbeta.order import (EQ, GT, LT, EvPeriodicSeq, alt_cmp, alt_cmp_seq,
-                           cmp_prefix, is_alt_shift_maximal, word)
+from negbeta.order import (EQ, GT, LT, EvPeriodicSeq, ShiftMaximality, alt_cmp,
+                           alt_cmp_seq, cmp_prefix, is_alt_shift_maximal, word)
 
 
 def test_alt_cmp_examples():
@@ -101,6 +102,56 @@ def test_shift_maximality():
     assert is_alt_shift_maximal(word("3232133")).status == "undecided"
     assert is_alt_shift_maximal(word("311")).status == "undecided"
     assert is_alt_shift_maximal(word("132")).status == "no"
+
+
+def _per_shift_maximality(b) -> ShiftMaximality:
+    # the check one shift at a time, each compared as a sequence
+    if isinstance(b, EvPeriodicSeq):
+        if b.digit(1) != b.max_digit:
+            return ShiftMaximality("no", None)
+        for k in range(1, len(b.preperiod) + len(b.period)):
+            if alt_cmp_seq(b.shift(k), b) == GT:
+                return ShiftMaximality("no", k)
+        return ShiftMaximality("yes")
+    w = word(b)
+    if w[0] != max(w):
+        return ShiftMaximality("no", None)
+    for k in range(1, len(w)):
+        if cmp_prefix(w[k:], w) == GT:
+            return ShiftMaximality("no", k)
+    return ShiftMaximality("undecided")
+
+
+def _words(alphabet, lengths):
+    return [w for n in lengths for w in itertools.product(range(1, alphabet + 1), repeat=n)]
+
+
+def test_one_loop_maximality_matches_the_per_shift_check():
+    # every bound pre per^inf with |pre| <= 2, |per| <= 3 over 1..3, and
+    # every finite prefix of length <= 6 over 1..3
+    seen = set()
+    for pre in _words(3, range(3)):
+        for per in _words(3, range(1, 4)):
+            b = EvPeriodicSeq.make(pre, per)
+            got = is_alt_shift_maximal(b)
+            assert got == _per_shift_maximality(b), b
+            seen.add(got.status)
+    assert seen == {"yes", "no"}
+    for w in _words(3, range(1, 7)):
+        assert is_alt_shift_maximal(w) == _per_shift_maximality(w), w
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda a: st.tuples(
+    st.lists(st.integers(1, a), max_size=8),
+    st.lists(st.integers(1, a), min_size=1, max_size=9))))
+def test_one_loop_maximality_on_drawn_bounds(pre_per):
+    pre, per = pre_per
+    for b in (EvPeriodicSeq.make(pre, per),
+              EvPeriodicSeq.make((max(pre + per),) + tuple(pre), per)):
+        assert is_alt_shift_maximal(b) == _per_shift_maximality(b), b
+        w = b.prefix(len(pre) + 2 * len(per))
+        assert is_alt_shift_maximal(w) == _per_shift_maximality(w), w
 
 
 def test_figure_sequence_is_maximal():
