@@ -204,14 +204,14 @@ def _prefix_hint(args) -> str:
             "--horizon and 64; raise --horizon for more")
 
 
-def _at_least_1(option: str, value) -> None:
-    if value is not None and value < 1:
-        raise ValueError(f"--{option} >= 1 required, got {value}")
+def _at_least(option: str, value, least: int = 1) -> None:
+    if value is not None and value < least:
+        raise ValueError(f"--{option} >= {least} required, got {value}")
 
 
 def _slice_K(args, default: int) -> int:
     """The slice size: --K when given (at least 1), else the default."""
-    _at_least_1("K", args.K)
+    _at_least("K", args.K)
     return default if args.K is None else args.K
 
 
@@ -250,7 +250,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    _at_least_1("n", args.n)
+    _at_least("n", args.n)
     spec = _spec_of(args)
     slice_ = graphmod.build_graph_for_spec(spec, args.K)
     if args.format == "dot":
@@ -274,6 +274,7 @@ def cmd_entropy(args) -> int:
         raise ValueError(f"epsilon must be finite, got {args.epsilon}")
     if args.L < 1:
         raise ValueError(f"Lmax must be >= 1, got {args.L}")
+    _at_least("n", args.n, 2)
     K = _slice_K(args, args.L + args.n)
     spec = _spec_of(args)
     table = count_words(spec, args.n, with_per=args.n <= 14)
@@ -312,7 +313,7 @@ def cmd_glue(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    _at_least_1("L", args.L)
+    _at_least("L", args.L)
     K = _slice_K(args, 24)
     spec = _spec_of(args)
     ns = [n for n in (args.n - 4, args.n - 2) if n >= args.m]

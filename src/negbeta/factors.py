@@ -290,8 +290,8 @@ def check_singleton_cylinder(code: SlidingBlockCode, spec: ShiftSpec,
     n = code.window // 3
     aut = spec._automaton
     for i in range(1, n + 1):
-        base = tuple(up.digit(i + j) for j in range(code.window))
         expected = tuple(up.digit(i + j) for j in range(depth))
+        base = expected[:code.window]
         state = aut.read(aut.start, base)[1]  # None: nothing extends
         for pos in range(code.window, depth):
             if state is None:
@@ -344,8 +344,7 @@ def _check_named_witnesses(aut: _Automaton, code: SlidingBlockCode,
                            "image of the bound prefix is not all twos")
     for k in range(1, kmax + 1):
         target = (1,) * k + (2,) * (depth - m + 1 - k)
-        witness = _preimage_of_staircase(aut, code, spec, k, depth)
-        if witness is None or code.apply(witness) != target:
+        if _preimage_of_staircase(aut, code, bprefix, k, target) is None:
             return ClaimResult("witnesses", "fail",
                                f"no preimage found for 1^{k} 2...", None)
     return ClaimResult("witnesses", "pass",
@@ -353,32 +352,19 @@ def _check_named_witnesses(aut: _Automaton, code: SlidingBlockCode,
 
 
 def _preimage_of_staircase(aut: _Automaton, code: SlidingBlockCode,
-                           spec: ShiftSpec, k: int, depth: int) -> Optional[Word]:
-    """A depth-long admissible word mapping to 1^k 2^(rest)."""
-    m = code.window
+                           bprefix: Word, k: int, target: Word) -> Optional[Word]:
+    """An admissible word as long as the bound prefix that the code maps to
+    target = 1^k 2^(rest), or None.  Every candidate ends in a slice of the
+    bound prefix, never empty since k <= depth - window."""
+    m, depth = code.window, len(bprefix)
     if code.kind == "ones_window":
         # 1^(k+m-1) then the bound prefix: the first k windows are all ones,
         # every later window contains a non-one bound digit.
-        head = (1,) * (k + m - 1)
-        tail_len = depth - len(head)
-        if tail_len < 1:
-            return None
-        tail = tuple(spec.upper_digit(i) for i in range(1, tail_len + 1))
-        if None in tail:
-            return None
-        cand = head + tail
+        cands = [(1,) * (k + m - 1) + bprefix[:depth - k - m + 1]]
     else:
         # 1^(k-1), a middle digit keeping every shift above the lower bound,
-        # then the bound tail; the right middle digit is found by trying.
-        up = spec.upper
-        tail_len = depth - k
-        if tail_len < 1:
-            return None
-        target = (1,) * k + (2,) * (depth - m + 1 - k)
-        for mid in range(2, spec.alphabet + 1):
-            cand = ((1,) * (k - 1) + (mid,)
-                    + tuple(up.digit(i) for i in range(1, tail_len + 1)))
-            if aut.read(aut.start, cand)[0] == YES and code.apply(cand) == target:
-                return cand
-        return None
-    return cand if aut.read(aut.start, cand)[0] == YES else None
+        # then the bound prefix; the right middle digit is found by trying.
+        cands = ((1,) * (k - 1) + (mid,) + bprefix[:depth - k]
+                 for mid in range(2, aut.alphabet + 1))
+    return next((cand for cand in cands if aut.read(aut.start, cand)[0] == YES
+                 and code.apply(cand) == target), None)

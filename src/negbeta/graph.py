@@ -285,6 +285,18 @@ def path_counts(graph: GraphSlice, nmax: int, start: int = 0,
     return _walk_counts(s0, nmax, targets, size)
 
 
+def _check_paths(graph: GraphSlice, n: int, start: int) -> None:
+    """Refuse a negative length, a start outside the slice, or length-n
+    paths from V_start that can leave it."""
+    if n < 0:
+        raise ValueError(n)
+    if not 0 <= start <= graph.K:
+        raise ValueError(start)
+    if start + n > graph.K:
+        raise TruncationInsufficient(
+            f"length-{n} paths from V_{start} can leave the K={graph.K} slice")
+
+
 def _folded(graph: GraphSlice, nmax: int, start: int, floor: int):
     """(start, targets, size) of a graph of `size` vertices whose walks from
     that start are counted as the length-n paths from V_start, n <= nmax,
@@ -304,13 +316,7 @@ def _folded(graph: GraphSlice, nmax: int, start: int, floor: int):
     from c while row(j0 - 1) = row(j0 - 1 + P), reading no row from c + P
     on.  Without a fold, or if c + P >= m, the m rows count as they are.
     """
-    if nmax < 0:
-        raise ValueError(nmax)
-    if not 0 <= start <= graph.K:
-        raise ValueError(start)
-    if start + nmax > graph.K:
-        raise TruncationInsufficient(
-            f"length-{nmax} paths from V_{start} can leave the K={graph.K} slice")
+    _check_paths(graph, nmax, start)
     if nmax == 0:
         return start, None, 0  # no step is taken
     m = start + nmax
@@ -336,13 +342,7 @@ def path_words(graph: GraphSlice, n: int, start: int = 0,
                floor: int = 0) -> Iterator[Word]:
     """All length-n labelled path words from `start`, lexicographically,
     using only edges into vertices >= floor."""
-    if n < 0:
-        raise ValueError(n)
-    if not 0 <= start <= graph.K:
-        raise ValueError(start)
-    if start + n > graph.K:
-        raise TruncationInsufficient(
-            f"length-{n} paths from V_{start} can leave the K={graph.K} slice")
+    _check_paths(graph, n, start)
     ordered: dict[int, list] = {}  # stored row j -> its edges by label
 
     def children(v):

@@ -379,15 +379,15 @@ def is_admissible(spec: ShiftSpec, w) -> str:
     return aut.read(aut.start, word(w))[0]
 
 
-def _lex_words(start, n: int, children, head: Word = ()) -> Iterator[Word]:
-    """head followed by the labels of every length-n path from `start`, in
-    lexicographic order; children(node) lists (label, next node) pairs in
-    increasing label order.  An explicit stack replaces recursion, so n is
-    limited by memory only."""
+def _lex_words(start, n: int, children) -> Iterator[Word]:
+    """The labels of every length-n path from `start`, in lexicographic
+    order; children(node) lists (label, next node) pairs in increasing
+    label order.  An explicit stack replaces recursion, so n is limited by
+    memory only."""
     if n == 0:
-        yield head
+        yield ()
         return
-    acc = list(head)
+    acc: list = []
     stack = [iter(children(start))]
     while stack:
         for label, node in stack[-1]:
@@ -803,9 +803,9 @@ def eventually_periodic_completion(spec: ShiftSpec, w) -> Optional[EvPeriodicSeq
             yield p
 
     for extra in range(7):
-        for u in _lex_words(state, extra, aut.followers, w):
+        for u in _lex_words(state, extra, aut.followers):
             for p in periods():
-                cand = EvPeriodicSeq.make(u, p)
+                cand = EvPeriodicSeq.make(w + u, p)
                 if _point_ok(aut, cand.preperiod, cand.period):
                     return cand
     return None

@@ -51,14 +51,13 @@ class EmpiricalMeasure:
 
     def check_consistency(self) -> bool:
         """mass([w]) must equal the sum of the masses of its one-digit
-        extensions, exactly."""
-        for ell in range(1, self.m):
-            for w, q in self.level(ell).items():
-                ext = sum(q2 for w2, q2 in self.level(ell + 1).items()
-                          if w2[:ell] == w)
-                if ext != q:
-                    return False
-        return True
+        extensions, exactly; one pass sums the masses into their prefixes."""
+        ext: Counter = Counter()
+        for w, q in self.masses.items():
+            if 2 <= len(w) <= self.m:
+                ext[w[:-1]] += q
+        return all(ext[w] == q for w, q in self.masses.items()
+                   if 0 < len(w) < self.m)
 
     def to_json(self) -> dict:
         return {

@@ -493,17 +493,23 @@ def test_entropy_cutoff_below_one_exits_2(tmp_path, capsys):
     ("entropy", "2", "Lmax must be >= 1, got {}"),
     ("entropy", "golden", "Lmax must be >= 1, got {}"),
     ("measure", "golden", "--L >= 1 required, got {}"),
-    ("measure", "2", "--L >= 1 required, got {}")])
+    ("measure", "2", "--L >= 1 required, got {}"),
+    ("entropy", "golden", "--n >= 2 required, got {}")])
 def test_cutoff_below_one_exits_2_before_the_spec(tmp_path, capsys, monkeypatch,
                                                    verb, beta, message):
+    # the message names --n when that is the refused option, else --L is
+    option, values = (("--n", ("1", "0")) if message.startswith("--n")
+                      else ("--L", ("0", "-3")))
+
     def refuse(_args):
-        raise AssertionError("the spec was built before --L was checked")
+        raise AssertionError(f"the spec was built before {option} was checked")
 
     monkeypatch.setattr(cli, "_spec_of", refuse)
-    for L in ("0", "-3"):
-        assert run([verb, "--beta", beta, "--n", "6", "--L", L,
+    for value in values:
+        given = {"--n": "6", option: value}
+        assert run([verb, "--beta", beta, *sum(given.items(), ()),
                     "--out", tmp_path / "c"]) == 2
-        assert capsys.readouterr().err == f"error: {message.format(L)}\n"
+        assert capsys.readouterr().err == f"error: {message.format(value)}\n"
         assert not (tmp_path / "c").exists()
 
 

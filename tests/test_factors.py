@@ -332,3 +332,51 @@ def test_named_witnesses_pass_at_small_depths():
             kmax = min(depth // 2, depth - code.window)
             assert report.claims[-1].detail == \
                 f"explicit preimages found for every 1^k tail, k <= {kmax}"
+
+
+def _old_preimage_of_staircase(aut, code, spec, k, depth):
+    """The witness search as it re-read the bound digit by digit, kept to
+    compare with the slices of the bound prefix."""
+    m = code.window
+    if code.kind == "ones_window":
+        head = (1,) * (k + m - 1)
+        tail_len = depth - len(head)
+        if tail_len < 1:
+            return None
+        tail = tuple(spec.upper_digit(i) for i in range(1, tail_len + 1))
+        if None in tail:
+            return None
+        cand = head + tail
+    else:
+        up = spec.upper
+        tail_len = depth - k
+        if tail_len < 1:
+            return None
+        target = (1,) * k + (2,) * (depth - m + 1 - k)
+        for mid in range(2, spec.alphabet + 1):
+            cand = ((1,) * (k - 1) + (mid,)
+                    + tuple(up.digit(i) for i in range(1, tail_len + 1)))
+            if aut.read(aut.start, cand)[0] == language.YES and code.apply(cand) == target:
+                return cand
+        return None
+    return cand if aut.read(aut.start, cand)[0] == language.YES else None
+
+
+def test_witness_slices_match_the_digit_reads():
+    # the caller accepted an old witness only if its image was the target
+    found = failed = 0
+    for code, spec, depth in EQUIVALENCE_CASES:
+        bprefix = tuple(spec.upper_digit(i) for i in range(1, depth + 1))
+        if None in bprefix:
+            continue  # the witness claim is inconclusive before any search
+        aut = spec._automaton
+        for k in range(1, min(depth // 2, depth - code.window) + 1):
+            target = (1,) * k + (2,) * (depth - code.window + 1 - k)
+            old = _old_preimage_of_staircase(aut, code, spec, k, depth)
+            if old is not None and code.apply(old) != target:
+                old = None
+            got = factors._preimage_of_staircase(aut, code, bprefix, k, target)
+            assert got == old, (code, spec.upper, depth, k)
+            found += got is not None
+            failed += got is None
+    assert found and failed

@@ -316,6 +316,17 @@ def test_follower_words():
     assert follower_words(GOLDEN, word("2"), 3) == follower_words(GOLDEN, word("12"), 3)
 
 
+def test_follower_words_refuse_a_digit_above_the_alphabet_past_a_prefix_tie():
+    # 2 1 1 ties the whole prefix, whose next digit is unknown; a 4 after it
+    # still breaks the empty tie, so the word is refused, not left undecided
+    spec = ShiftSpec.from_beta(BetaValue.from_rational(F(13, 10)), prefix_len=3)
+    with pytest.raises(SpecPrefixTooShort):
+        follower_words(spec, word("2111"), 1)
+    for w in ("2114", "1112114"):
+        with pytest.raises(ValueError, match="is not admissible$"):
+            follower_words(spec, word(w), 1)
+
+
 def test_periodic_block_ok():
     assert periodic_block_ok(GOLDEN, word("211"))
     assert not periodic_block_ok(GOLDEN, word("21"))

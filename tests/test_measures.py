@@ -33,6 +33,18 @@ def test_mu_sanity_exact():
         assert mu.check_consistency()
 
 
+def test_consistency_refuses_a_normalized_inconsistent_measure():
+    # both levels sum to 1, but the extensions of 1 carry 3/4, not 1/2
+    masses = {word("1"): F(1, 2), word("2"): F(1, 2),
+              word("11"): F(3, 4), word("21"): F(1, 4)}
+    mu = EmpiricalMeasure(2, 2, 4, masses)
+    assert mu.check_normalization()
+    assert not mu.check_consistency()
+    # the same levels with the extensions split as the prefixes are pass
+    masses[word("11")] = masses[word("21")] = F(1, 2)
+    assert mu.check_consistency()
+
+
 def _rotation_averaged_masses(spec, n, m):
     # cylinder masses averaged over every rotation of every block; the block
     # set is closed under rotation, so this must equal mu_n exactly
