@@ -17,14 +17,13 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GlueFailed, NoSelfLoop, NotInGM, TruncationInsufficient
 from .graph import (GraphSlice, _dist_to_v0, _least_return, _rows, gap_scan,
                     path_count, path_counts, path_words, walk)
 from .language import NO, ShiftSpec, periodic_block_ok
-from .order import Word, _primitive_root, word
+from .order import Word, _primitive_root, _Record, word
 
 
 def c_words(graph: GraphSlice, L: int, n: int) -> list[Word]:
@@ -52,15 +51,20 @@ def _check_c_args(graph: GraphSlice, L: int, n: int) -> None:
             f"excursions of length {n} from V_{L} can leave the K={graph.K} slice")
 
 
-@dataclass
-class CProfile:
+class CProfile(_Record):
     """Per-(L, n) excursion counts and growth estimates, with the selected
     cutoff whose tail estimates stay under the target."""
 
-    epsilon: float
-    nmax: int
-    rows: list[dict]           # L, n, count, estimate
-    selected_L: Optional[int]
+    __slots__ = ("epsilon", "nmax",
+                 "rows",       # L, n, count, estimate
+                 "selected_L")
+
+    def __init__(self, epsilon: float, nmax: int, rows: list[dict],
+                 selected_L: Optional[int]):
+        self.epsilon = epsilon
+        self.nmax = nmax
+        self.rows = rows
+        self.selected_L = selected_L
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -99,18 +103,25 @@ def c_entropy_profile(graph: GraphSlice, Lmax: int, nmax: int,
     return CProfile(epsilon, nmax, rows, selected)
 
 
-@dataclass
-class BoundReport:
+class BoundReport(_Record):
     """Computed counting bounds a_1^(qN+1) <= b^(2q-3) N^(2q-3)."""
 
-    L: int
-    N: int
-    alphabet: int
-    window: int
-    far_edge_certified: bool
-    monotone_ok: bool
-    rows: list[dict]     # q, n, a1, bound, ok, margin
-    epsilon_for_N: float
+    __slots__ = ("L", "N", "alphabet", "window", "far_edge_certified",
+                 "monotone_ok",
+                 "rows",       # q, n, a1, bound, ok, margin
+                 "epsilon_for_N")
+
+    def __init__(self, L: int, N: int, alphabet: int, window: int,
+                 far_edge_certified: bool, monotone_ok: bool, rows: list[dict],
+                 epsilon_for_N: float):
+        self.L = L
+        self.N = N
+        self.alphabet = alphabet
+        self.window = window
+        self.far_edge_certified = far_edge_certified
+        self.monotone_ok = monotone_ok
+        self.rows = rows
+        self.epsilon_for_N = epsilon_for_N
 
     @property
     def all_ok(self) -> bool:
@@ -189,16 +200,25 @@ def _gap_table(graph: GraphSlice, M: int, L: int) -> tuple[int, list[Optional[in
     return max(dist[: M + L]), dist
 
 
-@dataclass
-class GlueResult:
-    words: list[Word]
-    connectors: list[Word]
-    gap: int
-    x: Word              # w^1 v^1 ... v^(m-1) w^m
-    block: Word          # x followed by the final connector
-    least_period: int
-    route: str           # "paths" (shortest paths + one-padding) | "search"
-    verified: str        # "exact" | f"horizon:{H}"
+class GlueResult(_Record):
+    __slots__ = ("words", "connectors", "gap",
+                 "x",             # w^1 v^1 ... v^(m-1) w^m
+                 "block",         # x followed by the final connector
+                 "least_period",
+                 "route",         # "paths" (shortest paths + one-padding) | "search"
+                 "verified")      # "exact" | f"horizon:{H}"
+
+    def __init__(self, words: list[Word], connectors: list[Word], gap: int,
+                 x: Word, block: Word, least_period: int, route: str,
+                 verified: str):
+        self.words = words
+        self.connectors = connectors
+        self.gap = gap
+        self.x = x
+        self.block = block
+        self.least_period = least_period
+        self.route = route
+        self.verified = verified
 
     def to_json(self) -> dict:
         return {

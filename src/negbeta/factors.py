@@ -20,14 +20,13 @@ returned as a structured report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (EnumerationCapExceeded, NotOddPeriodic, OddOneRun,
                      PatternMismatch, TooShort)
 from .language import NO, YES, ShiftSpec, _Automaton, _lex_first, count_words
 from .numeric import golden_test
-from .order import EvPeriodicSeq, Word, word
+from .order import EvPeriodicSeq, Word, _Frozen, _Record, word
 
 # verify_factor refuses a depth whose admissible words outnumber this cap,
 # counted exactly before any check (exit 3).  The sweep holds no words, so
@@ -48,13 +47,17 @@ def in_x_language(w) -> bool:
     return set(w) <= {1, 2} and w == tuple(sorted(w))
 
 
-@dataclass(frozen=True)
-class SlidingBlockCode:
+class SlidingBlockCode(_Frozen):
     """A window map to {1, 2} applied at every position."""
 
-    window: int
-    kind: str                      # "ones_window" | "bound_blocks"
-    detect: frozenset = frozenset()  # bound_blocks: windows mapped to 2
+    __slots__ = ("window",
+                 "kind",    # "ones_window" | "bound_blocks"
+                 "detect")  # bound_blocks: windows mapped to 2
+
+    def __init__(self, window: int, kind: str, detect: frozenset = frozenset()):
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "detect", detect)
 
     def symbol(self, block: Word) -> int:
         if len(block) != self.window:
@@ -125,12 +128,17 @@ def build_case2_code(spec: ShiftSpec) -> SlidingBlockCode:
     return SlidingBlockCode(window=3 * n, kind="bound_blocks", detect=blocks)
 
 
-@dataclass
-class ClaimResult:
-    claim: str
-    status: str                      # "pass" | "fail" | "inconclusive"
-    detail: str = ""
-    counterexample: Optional[str] = None
+class ClaimResult(_Record):
+    __slots__ = ("claim",
+                 "status",  # "pass" | "fail" | "inconclusive"
+                 "detail", "counterexample")
+
+    def __init__(self, claim: str, status: str, detail: str = "",
+                 counterexample: Optional[str] = None):
+        self.claim = claim
+        self.status = status
+        self.detail = detail
+        self.counterexample = counterexample
 
     def to_json(self) -> dict:
         out = {"claim": self.claim, "status": self.status, "detail": self.detail}
@@ -139,12 +147,15 @@ class ClaimResult:
         return out
 
 
-@dataclass
-class FactorReport:
-    kind: str
-    window: int
-    depth: int
-    claims: list[ClaimResult]
+class FactorReport(_Record):
+    __slots__ = ("kind", "window", "depth", "claims")
+
+    def __init__(self, kind: str, window: int, depth: int,
+                 claims: list[ClaimResult]):
+        self.kind = kind
+        self.window = window
+        self.depth = depth
+        self.claims = claims
 
     @property
     def passed(self) -> bool:

@@ -47,7 +47,7 @@ from typing import Iterator, Optional
 from .errors import HorizonExhausted, NotOddPeriodic, SpecPrefixTooShort
 from .numeric import GOLDEN_UPPER, BetaValue, _d1_cycle, expand
 from .order import (BoundSeq, EvPeriodicSeq, Word, _alt_sign, _failure_table,
-                    bound_digit, bound_len, is_alt_shift_maximal, word)
+                    _Record, bound_digit, bound_len, is_alt_shift_maximal, word)
 
 YES, NO, UNDETERMINED = "yes", "no", "undetermined"
 
@@ -63,6 +63,10 @@ def derived_lower_bound(upper: EvPeriodicSeq) -> EvPeriodicSeq:
     return EvPeriodicSeq.make((), (1,) + per[:-1] + (per[-1] - 1,))
 
 
+# ShiftSpec and GraphSlice stay dataclasses, unlike the package's other
+# value classes (see `order._Record`): tests copy them with
+# dataclasses.replace, and ShiftSpec._automaton, a cached_property, needs an
+# instance __dict__.
 @dataclass(frozen=True)
 class ShiftSpec:
     """Defining data of a shift: alphabet size, upper bound sequence and an
@@ -448,11 +452,13 @@ def enumerate_words(spec: ShiftSpec, n: int) -> list[Word]:
     return list(iter_words(spec, n))
 
 
-@dataclass
-class CountTable:
+class CountTable(_Record):
     """Per-length exact counts of admissible words and periodic blocks."""
 
-    rows: list[dict]  # n, count_words, count_per (optional), exact
+    __slots__ = ("rows",)  # n, count_words, count_per (optional), exact
+
+    def __init__(self, rows: list[dict]):
+        self.rows = rows
 
     def to_csv(self) -> str:
         buf = io.StringIO()

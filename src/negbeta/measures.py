@@ -11,28 +11,30 @@ import csv
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import EmptyPer
 from .language import (CountTable, ShiftSpec, _per_blocks, _per_counts,
                        count_words)
-from .order import Word, word
+from .order import Word, _Record, word
 
 
-@dataclass
-class EmpiricalMeasure:
+class EmpiricalMeasure(_Record):
     """Uniform measure on period-n blocks with cylinder masses up to length m.
 
     mass([w]) is the fraction of blocks whose periodic repetition starts
     with w; only nonzero masses are stored.
     """
 
-    n: int
-    m: int
-    per_count: int
-    masses: dict[Word, Fraction]
+    __slots__ = ("n", "m", "per_count", "masses")
+
+    def __init__(self, n: int, m: int, per_count: int,
+                 masses: dict[Word, Fraction]):
+        self.n = n
+        self.m = m
+        self.per_count = per_count
+        self.masses = masses
 
     def mass(self, w) -> Fraction:
         w = word(w)
@@ -92,15 +94,22 @@ def mu_n(spec: ShiftSpec, n: int, m: int) -> EmpiricalMeasure:
     return got
 
 
-@dataclass
-class EntropyEstimate:
-    value: float                     # (1/nmax) log #L_nmax
-    nmax: int
-    word_counts: list[int]
-    per_counts: list[int]
-    word_estimates: list[float]
-    per_estimates: list[Optional[float]]
-    last_delta: float                # change in the word estimate at nmax
+class EntropyEstimate(_Record):
+    __slots__ = ("value",            # (1/nmax) log #L_nmax
+                 "nmax", "word_counts", "per_counts", "word_estimates",
+                 "per_estimates",
+                 "last_delta")       # change in the word estimate at nmax
+
+    def __init__(self, value: float, nmax: int, word_counts: list[int],
+                 per_counts: list[int], word_estimates: list[float],
+                 per_estimates: list[Optional[float]], last_delta: float):
+        self.value = value
+        self.nmax = nmax
+        self.word_counts = word_counts
+        self.per_counts = per_counts
+        self.word_estimates = word_estimates
+        self.per_estimates = per_estimates
+        self.last_delta = last_delta
 
     def to_json(self) -> dict:
         return {
@@ -141,19 +150,24 @@ def htop_from_table(spec: ShiftSpec, table: CountTable) -> EntropyEstimate:
                            west[-1] - west[-2])
 
 
-@dataclass
-class GibbsReport:
+class GibbsReport(_Record):
     """Cylinder-mass ratios against e^{-n h}: the upper ratio scans every
     word, the lower only the designated good words."""
 
-    h: float
-    max_ratio: float
-    max_word: Word
-    min_good_ratio: Optional[float]
-    min_good_word: Optional[Word]
-    zero_mass_good: list[Word]
-    implied_K: float
-    rows: list[dict]
+    __slots__ = ("h", "max_ratio", "max_word", "min_good_ratio",
+                 "min_good_word", "zero_mass_good", "implied_K", "rows")
+
+    def __init__(self, h: float, max_ratio: float, max_word: Word,
+                 min_good_ratio: Optional[float], min_good_word: Optional[Word],
+                 zero_mass_good: list[Word], implied_K: float, rows: list[dict]):
+        self.h = h
+        self.max_ratio = max_ratio
+        self.max_word = max_word
+        self.min_good_ratio = min_good_ratio
+        self.min_good_word = min_good_word
+        self.zero_mass_good = zero_mass_good
+        self.implied_K = implied_K
+        self.rows = rows
 
     def to_json(self) -> dict:
         return {
@@ -206,13 +220,18 @@ def gibbs_check(measure: EmpiricalMeasure, gwords: Sequence, h: float) -> GibbsR
                        zero_mass, implied, rows)
 
 
-@dataclass
-class WeakStarTable:
-    m: int
-    ns: list[int]
-    skipped: list[int]
-    masses: dict[Word, list[Optional[Fraction]]]
-    deviations: list[float]    # successive sup-distances over the table
+class WeakStarTable(_Record):
+    __slots__ = ("m", "ns", "skipped", "masses",
+                 "deviations")  # successive sup-distances over the table
+
+    def __init__(self, m: int, ns: list[int], skipped: list[int],
+                 masses: dict[Word, list[Optional[Fraction]]],
+                 deviations: list[float]):
+        self.m = m
+        self.ns = ns
+        self.skipped = skipped
+        self.masses = masses
+        self.deviations = deviations
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -25,28 +25,27 @@ handed to `golden_test_prefix` for reuse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from .errors import AmbiguousDigit, DomainError, UndecidableOrder
-from .order import EQ, LT, EvPeriodicSeq, Word, cmp_prefix, word
+from .order import EQ, LT, EvPeriodicSeq, Word, _Frozen, cmp_prefix, word
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class IntervalValue:
+class IntervalValue(_Frozen):
     """A closed interval with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> Fraction:
@@ -65,16 +64,22 @@ UnitPoint = Fraction | IntervalValue
 Refiner = Callable[[int], tuple[Fraction, Fraction]]
 
 
-@dataclass(frozen=True)
-class BetaValue:
+class BetaValue(_Frozen):
     """A base beta > 1, exact or enclosed in a refinable interval."""
 
-    exact: Optional[Fraction] = None
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    bits: int = 64
-    refiner: Optional[Refiner] = field(default=None, compare=False)
-    label: Optional[str] = None
+    __slots__ = ("exact", "lo", "hi", "bits", "refiner", "label")
+    _cmp = ("exact", "lo", "hi", "bits", "label")  # not the refiner
+
+    def __init__(self, exact: Optional[Fraction] = None,
+                 lo: Optional[Fraction] = None, hi: Optional[Fraction] = None,
+                 bits: int = 64, refiner: Optional[Refiner] = None,
+                 label: Optional[str] = None):
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "refiner", refiner)
+        object.__setattr__(self, "label", label)
 
     @staticmethod
     def from_rational(value) -> "BetaValue":
@@ -143,13 +148,16 @@ class BetaValue:
         return f"[{self.lo},{self.hi}]@{self.bits}b"
 
 
-@dataclass(frozen=True)
-class CertifiedDigits:
+class CertifiedDigits(_Frozen):
     """An expansion prefix together with how much of it is certified."""
 
-    digits: Word
-    certified: int
-    status: tuple  # ("complete",) or ("precision_exhausted", failed_index)
+    __slots__ = ("digits", "certified",
+                 "status")  # ("complete",) or ("precision_exhausted", failed_index)
+
+    def __init__(self, digits: Word, certified: int, status: tuple):
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "status", status)
 
     @property
     def complete(self) -> bool:
@@ -340,8 +348,7 @@ def expand(beta: BetaValue, x: UnitPoint, n: int, max_bits: int = 4096) -> Certi
     return CertifiedDigits(tuple(got), len(got), status)
 
 
-@dataclass(frozen=True)
-class D1Classification:
+class D1Classification(_Frozen):
     """Cycle structure of the digit expansion of 1.
 
     kind is "periodic_odd" (period 1, preperiod 0) for an integer base b,
@@ -350,11 +357,15 @@ class D1Classification:
     and an interval base never certifies one.
     """
 
-    kind: str
-    period: Optional[int]
-    preperiod: Optional[int]
-    horizon: int
-    digits: Word
+    __slots__ = ("kind", "period", "preperiod", "horizon", "digits")
+
+    def __init__(self, kind: str, period: Optional[int],
+                 preperiod: Optional[int], horizon: int, digits: Word):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "digits", digits)
 
 
 def _d1_cycle(beta: BetaValue, horizon: int) -> Optional[Word]:

@@ -5,12 +5,21 @@ order compares like the ordinary lexicographic order at odd positions and
 with the comparison reversed at even positions (1-based).  It is the order
 under which the digit-expansion map of a negative-base transformation is
 monotone, and it decides admissibility everywhere else in this package.
+
+The package's value classes derive from `_Record` (or `_Frozen`, for the
+immutable and hashable ones) instead of being generated by `@dataclass`.
+The base gives them the value __repr__, __eq__ and __hash__ that a
+dataclass would, read off the class's __slots__, and each class writes
+its own __init__.  `@dataclass` builds every method from source text
+and execs it, class by class, whenever the package is imported afresh,
+which took close to a quarter of such an import; these methods are
+compiled with their module, as any other function is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Optional
 
 from .errors import LengthMismatch
@@ -59,8 +68,56 @@ def cmp_prefix(u: Word, v) -> int:
     return EQ
 
 
-@dataclass(frozen=True)
-class EvPeriodicSeq:
+class _Record:
+    """A value record whose fields are the class's __slots__, in order.
+
+    repr, == and hash are those of a dataclass over the same fields: ==
+    compares the fields named in `_cmp` (all of them unless the class
+    names fewer) between instances of one class, and a record that is not
+    `_Frozen` is unhashable.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._cmp = cls.__dict__.get("_cmp", cls.__slots__)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._cmp])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+
+class _Frozen(_Record):
+    """A hashable record whose fields are set once, in __init__, through
+    object.__setattr__."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which the frozen
+        # __setattr__ leaves as the only way to set the fields
+        return self.__class__, tuple([getattr(self, f) for f in self.__slots__])
+
+
+class EvPeriodicSeq(_Frozen):
     """An eventually periodic one-sided sequence: preperiod followed by
     an infinitely repeated period.
 
@@ -70,8 +127,11 @@ class EvPeriodicSeq:
     instances coincides with equality of the sequences they denote.
     """
 
-    preperiod: Word
-    period: Word
+    __slots__ = ("preperiod", "period")
+
+    def __init__(self, preperiod: Word, period: Word):
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
 
     @staticmethod
     def make(preperiod, period) -> "EvPeriodicSeq":
@@ -172,10 +232,13 @@ def bound_len(b: BoundSeq) -> float:
     return math.inf if isinstance(b, EvPeriodicSeq) else len(b)
 
 
-@dataclass(frozen=True)
-class ShiftMaximality:
-    status: str  # "yes" | "no" | "undecided"
-    witness: Optional[int] = None  # shift index k >= 1 with sigma^k(b) > b
+class ShiftMaximality(_Frozen):
+    __slots__ = ("status",   # "yes" | "no" | "undecided"
+                 "witness")  # shift index k >= 1 with sigma^k(b) > b
+
+    def __init__(self, status: str, witness: Optional[int] = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
 
 
 def is_alt_shift_maximal(b: BoundSeq) -> ShiftMaximality:

@@ -380,3 +380,16 @@ def test_witness_slices_match_the_digit_reads():
             found += got is not None
             failed += got is None
     assert found and failed
+
+
+def test_bound_blocks_witness_can_need_the_top_middle_digit():
+    # On (312)^inf with 31 and 23 detected, the candidate for 1 2 with the
+    # middle digit 2, 231, maps to 2 2; only the alphabet's top digit gives
+    # an admissible preimage, 331.
+    code = SlidingBlockCode(2, "bound_blocks", frozenset({word("31"), word("23")}))
+    spec = ShiftSpec.make(EvPeriodicSeq.make((), word("312")))
+    assert code.apply(word("231")) == word("22")
+    got = factors._preimage_of_staircase(spec._automaton, code, word("312"), 1,
+                                         word("12"))
+    assert got == word("331")
+    assert is_admissible(spec, got) == "yes"

@@ -168,7 +168,7 @@ def test_cmp_prefix():
 
 _REIMPORT = """
 import gc, importlib, sys, weakref
-refs = []
+refs, frozen = [], []
 for _ in range(3):
     for name in [m for m in sys.modules if m == "negbeta" or m.startswith("negbeta.")]:
         del sys.modules[name]
@@ -176,8 +176,10 @@ for _ in range(3):
     order, numeric = sys.modules["negbeta.order"], sys.modules["negbeta.numeric"]
     refs.append([weakref.ref(order), weakref.ref(order.EvPeriodicSeq),
                  weakref.ref(numeric.IntervalValue)])
+    frozen.append(weakref.ref(order._Frozen))
     del order, numeric
 gc.collect()
+assert frozen[0]() is None, "the first copy of order._Frozen is still alive"
 print([[r() is None for r in got] for got in refs])
 """
 
