@@ -59,13 +59,6 @@ class CProfile(_Record):
                  "rows",       # L, n, count, estimate
                  "selected_L")
 
-    def __init__(self, epsilon: float, nmax: int, rows: list[dict],
-                 selected_L: Optional[int]):
-        self.epsilon = epsilon
-        self.nmax = nmax
-        self.rows = rows
-        self.selected_L = selected_L
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -81,18 +74,18 @@ def c_entropy_profile(graph: GraphSlice, Lmax: int, nmax: int,
     estimates for n in the upper half of the range all stay <= epsilon."""
     if Lmax < 1:
         raise ValueError(f"Lmax must be >= 1, got {Lmax}")
+    if nmax < 1:
+        raise ValueError(f"nmax must be >= 1, got {nmax}")
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     rows = []
     selected = None
-    tail_start = max(1, (nmax + 1) // 2)
+    tail_start = (nmax + 1) // 2
     for L in range(1, Lmax + 1):
         tail_ok = True
-        counts: list[int] = []
-        if nmax > 0:
-            # raise at the first failing n, as c_count would
-            _check_c_args(graph, L, min(nmax, graph.K - L + 2))
-            counts = path_counts(graph, nmax - 1, L, L)
+        # raise at the first failing n, as c_count would
+        _check_c_args(graph, L, min(nmax, graph.K - L + 2))
+        counts = path_counts(graph, nmax - 1, L, L)
         for n, cnt in enumerate(counts, 1):
             est = math.log(cnt) / n if cnt >= 1 else 0.0
             rows.append({"L": L, "n": n, "count": cnt, "estimate": est})
@@ -110,18 +103,6 @@ class BoundReport(_Record):
                  "monotone_ok",
                  "rows",       # q, n, a1, bound, ok, margin
                  "epsilon_for_N")
-
-    def __init__(self, L: int, N: int, alphabet: int, window: int,
-                 far_edge_certified: bool, monotone_ok: bool, rows: list[dict],
-                 epsilon_for_N: float):
-        self.L = L
-        self.N = N
-        self.alphabet = alphabet
-        self.window = window
-        self.far_edge_certified = far_edge_certified
-        self.monotone_ok = monotone_ok
-        self.rows = rows
-        self.epsilon_for_N = epsilon_for_N
 
     @property
     def all_ok(self) -> bool:
@@ -208,18 +189,6 @@ class GlueResult(_Record):
                  "route",         # "paths" (shortest paths + one-padding) | "search"
                  "verified")      # "exact" | f"horizon:{H}"
 
-    def __init__(self, words: list[Word], connectors: list[Word], gap: int,
-                 x: Word, block: Word, least_period: int, route: str,
-                 verified: str):
-        self.words = words
-        self.connectors = connectors
-        self.gap = gap
-        self.x = x
-        self.block = block
-        self.least_period = least_period
-        self.route = route
-        self.verified = verified
-
     def to_json(self) -> dict:
         return {
             "words": ["".join(map(str, w)) for w in self.words],
@@ -256,6 +225,8 @@ def glue(graph: GraphSlice, spec: ShiftSpec, L: int, M: int, words_in,
     exactly before being returned.
     """
     _check_gap_args(M, L)
+    if t is not None and t < 0:
+        raise ValueError(f"gap t must be >= 0, got {t}")
     words = [word(w) for w in words_in]
     if not words:
         raise ValueError("nothing to glue")

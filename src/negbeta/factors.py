@@ -53,11 +53,7 @@ class SlidingBlockCode(_Frozen):
     __slots__ = ("window",
                  "kind",    # "ones_window" | "bound_blocks"
                  "detect")  # bound_blocks: windows mapped to 2
-
-    def __init__(self, window: int, kind: str, detect: frozenset = frozenset()):
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "detect", detect)
+    _defaults = (frozenset(),)
 
     def symbol(self, block: Word) -> int:
         if len(block) != self.window:
@@ -132,13 +128,7 @@ class ClaimResult(_Record):
     __slots__ = ("claim",
                  "status",  # "pass" | "fail" | "inconclusive"
                  "detail", "counterexample")
-
-    def __init__(self, claim: str, status: str, detail: str = "",
-                 counterexample: Optional[str] = None):
-        self.claim = claim
-        self.status = status
-        self.detail = detail
-        self.counterexample = counterexample
+    _defaults = ("", None)
 
     def to_json(self) -> dict:
         out = {"claim": self.claim, "status": self.status, "detail": self.detail}
@@ -149,13 +139,6 @@ class ClaimResult(_Record):
 
 class FactorReport(_Record):
     __slots__ = ("kind", "window", "depth", "claims")
-
-    def __init__(self, kind: str, window: int, depth: int,
-                 claims: list[ClaimResult]):
-        self.kind = kind
-        self.window = window
-        self.depth = depth
-        self.claims = claims
 
     @property
     def passed(self) -> bool:

@@ -52,10 +52,12 @@ from .order import (BoundSeq, EvPeriodicSeq, Word, _alt_sign, _failure_table,
 YES, NO, UNDETERMINED = "yes", "no", "undetermined"
 
 
-def derived_lower_bound(upper: EvPeriodicSeq) -> EvPeriodicSeq:
+def derived_lower_bound(upper: BoundSeq) -> EvPeriodicSeq:
     """The lower bound attached to a purely periodic upper bound of odd
-    period n: the periodic sequence with block 1 b_1 ... b_{n-1} (b_n - 1)."""
-    if upper.preperiod or len(upper.period) % 2 == 0:
+    period n: the periodic sequence with block 1 b_1 ... b_{n-1} (b_n - 1).
+    A finite prefix has no period and raises NotOddPeriodic."""
+    if (not isinstance(upper, EvPeriodicSeq) or upper.preperiod
+            or len(upper.period) % 2 == 0):
         raise NotOddPeriodic(str(upper))
     per = upper.period
     if per[-1] < 2:
@@ -456,9 +458,6 @@ class CountTable(_Record):
     """Per-length exact counts of admissible words and periodic blocks."""
 
     __slots__ = ("rows",)  # n, count_words, count_per (optional), exact
-
-    def __init__(self, rows: list[dict]):
-        self.rows = rows
 
     def to_csv(self) -> str:
         buf = io.StringIO()

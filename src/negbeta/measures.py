@@ -29,13 +29,6 @@ class EmpiricalMeasure(_Record):
 
     __slots__ = ("n", "m", "per_count", "masses")
 
-    def __init__(self, n: int, m: int, per_count: int,
-                 masses: dict[Word, Fraction]):
-        self.n = n
-        self.m = m
-        self.per_count = per_count
-        self.masses = masses
-
     def mass(self, w) -> Fraction:
         w = word(w)
         if len(w) == 0:
@@ -100,17 +93,6 @@ class EntropyEstimate(_Record):
                  "per_estimates",
                  "last_delta")       # change in the word estimate at nmax
 
-    def __init__(self, value: float, nmax: int, word_counts: list[int],
-                 per_counts: list[int], word_estimates: list[float],
-                 per_estimates: list[Optional[float]], last_delta: float):
-        self.value = value
-        self.nmax = nmax
-        self.word_counts = word_counts
-        self.per_counts = per_counts
-        self.word_estimates = word_estimates
-        self.per_estimates = per_estimates
-        self.last_delta = last_delta
-
     def to_json(self) -> dict:
         return {
             "value": self.value, "nmax": self.nmax,
@@ -156,18 +138,6 @@ class GibbsReport(_Record):
 
     __slots__ = ("h", "max_ratio", "max_word", "min_good_ratio",
                  "min_good_word", "zero_mass_good", "implied_K", "rows")
-
-    def __init__(self, h: float, max_ratio: float, max_word: Word,
-                 min_good_ratio: Optional[float], min_good_word: Optional[Word],
-                 zero_mass_good: list[Word], implied_K: float, rows: list[dict]):
-        self.h = h
-        self.max_ratio = max_ratio
-        self.max_word = max_word
-        self.min_good_ratio = min_good_ratio
-        self.min_good_word = min_good_word
-        self.zero_mass_good = zero_mass_good
-        self.implied_K = implied_K
-        self.rows = rows
 
     def to_json(self) -> dict:
         return {
@@ -223,15 +193,6 @@ def gibbs_check(measure: EmpiricalMeasure, gwords: Sequence, h: float) -> GibbsR
 class WeakStarTable(_Record):
     __slots__ = ("m", "ns", "skipped", "masses",
                  "deviations")  # successive sup-distances over the table
-
-    def __init__(self, m: int, ns: list[int], skipped: list[int],
-                 masses: dict[Word, list[Optional[Fraction]]],
-                 deviations: list[float]):
-        self.m = m
-        self.ns = ns
-        self.skipped = skipped
-        self.masses = masses
-        self.deviations = deviations
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -44,8 +44,7 @@ class IntervalValue(_Frozen):
     def __init__(self, lo: Fraction, hi: Fraction):
         if lo > hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        super().__init__(lo, hi)
 
     @property
     def width(self) -> Fraction:
@@ -69,17 +68,7 @@ class BetaValue(_Frozen):
 
     __slots__ = ("exact", "lo", "hi", "bits", "refiner", "label")
     _cmp = ("exact", "lo", "hi", "bits", "label")  # not the refiner
-
-    def __init__(self, exact: Optional[Fraction] = None,
-                 lo: Optional[Fraction] = None, hi: Optional[Fraction] = None,
-                 bits: int = 64, refiner: Optional[Refiner] = None,
-                 label: Optional[str] = None):
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "refiner", refiner)
-        object.__setattr__(self, "label", label)
+    _defaults = (None, None, None, 64, None, None)
 
     @staticmethod
     def from_rational(value) -> "BetaValue":
@@ -153,11 +142,6 @@ class CertifiedDigits(_Frozen):
 
     __slots__ = ("digits", "certified",
                  "status")  # ("complete",) or ("precision_exhausted", failed_index)
-
-    def __init__(self, digits: Word, certified: int, status: tuple):
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "certified", certified)
-        object.__setattr__(self, "status", status)
 
     @property
     def complete(self) -> bool:
@@ -358,14 +342,6 @@ class D1Classification(_Frozen):
     """
 
     __slots__ = ("kind", "period", "preperiod", "horizon", "digits")
-
-    def __init__(self, kind: str, period: Optional[int],
-                 preperiod: Optional[int], horizon: int, digits: Word):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "preperiod", preperiod)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "digits", digits)
 
 
 def _d1_cycle(beta: BetaValue, horizon: int) -> Optional[Word]:

@@ -8,12 +8,17 @@ monotone, and it decides admissibility everywhere else in this package.
 
 The package's value classes derive from `_Record` (or `_Frozen`, for the
 immutable and hashable ones) instead of being generated by `@dataclass`.
-The base gives them the value __repr__, __eq__ and __hash__ that a
-dataclass would, read off the class's __slots__, and each class writes
-its own __init__.  `@dataclass` builds every method from source text
-and execs it, class by class, whenever the package is imported afresh,
-which took close to a quarter of such an import; these methods are
-compiled with their module, as any other function is.
+The base gives them the constructor, __repr__, __eq__ and __hash__ that a
+dataclass would, all read off the class's __slots__: __init__ takes the
+fields in slot order, by position or keyword, fills trailing ones from the
+class's `_defaults` tuple and raises TypeError, as a dataclass does, for
+a missing field, an unknown keyword, a positional too many or a keyword
+repeating a positional.  A class writes its own __init__ only to check
+its arguments first (`numeric.IntervalValue` refuses lo > hi).
+`@dataclass` builds every method from source text and execs it, class by
+class, whenever the package is imported afresh, which took close to a
+quarter of such an import; these methods are compiled with their module,
+as any other function is.
 """
 
 from __future__ import annotations
@@ -71,17 +76,49 @@ def cmp_prefix(u: Word, v) -> int:
 class _Record:
     """A value record whose fields are the class's __slots__, in order.
 
-    repr, == and hash are those of a dataclass over the same fields: ==
-    compares the fields named in `_cmp` (all of them unless the class
-    names fewer) between instances of one class, and a record that is not
-    `_Frozen` is unhashable.
+    __init__, repr, == and hash are those of a dataclass over the same
+    fields: the last len(`_defaults`) fields take those defaults, == compares
+    the fields named in `_cmp` (all of them unless the class names fewer)
+    between instances of one class, and a record that is not `_Frozen` is
+    unhashable.
     """
 
     __slots__ = ()
+    _defaults = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._cmp = cls.__dict__.get("_cmp", cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        # the field values in slot order, or the TypeError a dataclass's
+        # __init__ raises for the same call
+        names, defaults = cls.__slots__, cls._defaults
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__qualname__}() takes {len(names)} positional "
+                            f"arguments but {len(args)} were given")
+        first_default = len(names) - len(defaults)
+        values = list(args)
+        for i in range(len(args), len(names)):
+            if names[i] in kwargs:
+                values.append(kwargs.pop(names[i]))
+            elif i >= first_default:
+                values.append(defaults[i - first_default])
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing required "
+                                f"argument {names[i]!r}")
+        for key in kwargs:  # each one left names no field or a positional one
+            problem = "multiple values for" if key in names else "an unexpected keyword"
+            raise TypeError(f"{cls.__qualname__}() got {problem} argument {key!r}")
+        return values
 
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in self._cmp])
@@ -97,8 +134,7 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """A hashable record whose fields are set once, in __init__, through
-    object.__setattr__."""
+    """A hashable record whose fields are set once, by `_Record.__init__`."""
 
     __slots__ = ()
 
@@ -128,10 +164,6 @@ class EvPeriodicSeq(_Frozen):
     """
 
     __slots__ = ("preperiod", "period")
-
-    def __init__(self, preperiod: Word, period: Word):
-        object.__setattr__(self, "preperiod", preperiod)
-        object.__setattr__(self, "period", period)
 
     @staticmethod
     def make(preperiod, period) -> "EvPeriodicSeq":
@@ -235,10 +267,7 @@ def bound_len(b: BoundSeq) -> float:
 class ShiftMaximality(_Frozen):
     __slots__ = ("status",   # "yes" | "no" | "undecided"
                  "witness")  # shift index k >= 1 with sigma^k(b) > b
-
-    def __init__(self, status: str, witness: Optional[int] = None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
+    _defaults = (None,)
 
 
 def is_alt_shift_maximal(b: BoundSeq) -> ShiftMaximality:

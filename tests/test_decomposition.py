@@ -94,6 +94,15 @@ def test_entropy_profile_non_finite_epsilon_raises():
     assert c_entropy_profile(GS, 4, 6, -1.0).selected_L is None
 
 
+def test_entropy_profile_refuses_nmax_below_one():
+    # as Lmax below one is: a profile with no rows would select L = 1 vacuously
+    for nmax in (0, -3):
+        with pytest.raises(ValueError, match=f"nmax must be >= 1, got {nmax}"):
+            c_entropy_profile(GS, 4, nmax, 0.3)
+    assert c_entropy_profile(GS, 1, 1, 0.3).rows == [
+        {"L": 1, "n": 1, "count": 1, "estimate": 0.0}]
+
+
 def test_bound_check_branching_fixture():
     report = bound_check(BS, 6, 4, 3)
     assert report.far_edge_certified
@@ -285,6 +294,12 @@ def test_glue_explicit_gap():
     with pytest.raises(GlueFailed):
         # without connectors the wrap-around run of ones has odd length
         glue(GS, GOLDEN, 2, 4, ["2", "21"], t=0)
+
+
+def test_glue_refuses_a_negative_gap():
+    # refused before any search: no connector has a length below zero
+    with pytest.raises(ValueError, match="gap t must be >= 0, got -1"):
+        glue(GS, GOLDEN, 2, 4, ["2"], t=-1)
 
 
 def _reference_connectors(spec, words, gap, limits):

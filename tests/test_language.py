@@ -31,8 +31,12 @@ def test_spec_construction():
     assert B2.lower == EvPeriodicSeq.make((), (1, 2))
     with pytest.raises(ValueError):
         ShiftSpec.make(EvPeriodicSeq.make((1,), (2,)))  # not shift maximal
+    # neither a preperiod nor a finite prefix has the odd period it needs
+    for upper in (EvPeriodicSeq.make((2,), (1,)), (2, 1, 1)):
+        with pytest.raises(NotOddPeriodic):
+            derived_lower_bound(upper)
     with pytest.raises(NotOddPeriodic):
-        derived_lower_bound(EvPeriodicSeq.make((2,), (1,)))
+        ShiftSpec.make((2, 1, 1), lower="derived")
 
 
 def test_spec_first_digit_message():

@@ -115,6 +115,19 @@ def test_records_behave_as_their_dataclasses():
                     _outcome(lambda: setattr(want, name, 0)), (cls, name)
                 assert _outcome(lambda: delattr(got, name)) == \
                     _outcome(lambda: delattr(want, name)), (cls, name)
+        values = samples[0]
+        bad_calls = [((*values, values[0]), {}),              # a positional too many
+                     (tuple(required), {"nonsense": 0}),      # an unknown keyword
+                     ((values[0],), dict(zip(names, values)))]  # a repeated field
+        if required:
+            bad_calls.append((tuple(required[:-1]), {}))      # a missing field
+        for args, kwargs in bad_calls:
+            for make in (cls, oracle):
+                with pytest.raises(TypeError):
+                    make(*args, **kwargs)
+    # IntervalValue checks its interval before the fields are bound
+    with pytest.raises(ValueError, match=r"^empty interval \[2, 1\]$"):
+        numeric.IntervalValue(lo=Fraction(2), hi=Fraction(1))
 
 
 def test_beta_values_differing_only_in_refiner_are_equal():
