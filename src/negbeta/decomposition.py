@@ -13,8 +13,6 @@ unreachable (eventually periodic bound sequences).
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from typing import Optional
@@ -22,7 +20,7 @@ from typing import Optional
 from .errors import GlueFailed, NoSelfLoop, NotInGM, TruncationInsufficient
 from .graph import (GraphSlice, _dist_to_v0, _least_return, _rows, gap_scan,
                     path_count, path_counts, path_words, walk)
-from .language import NO, ShiftSpec, periodic_block_ok
+from .language import NO, ShiftSpec, _csv_text, periodic_block_ok
 from .order import Word, _primitive_root, _Record, word
 
 
@@ -41,9 +39,13 @@ def c_count(graph: GraphSlice, L: int, n: int) -> int:
     return path_count(graph, n - 1, L, L)
 
 
-def _check_c_args(graph: GraphSlice, L: int, n: int) -> None:
+def _check_L(graph: GraphSlice, L: int) -> None:
     if not 1 <= L <= graph.K:
         raise ValueError(f"L must be within 1..{graph.K}")
+
+
+def _check_c_args(graph: GraphSlice, L: int, n: int) -> None:
+    _check_L(graph, L)
     if n < 1:
         raise ValueError("n >= 1 required")
     if L + n - 1 > graph.K:
@@ -60,12 +62,9 @@ class CProfile(_Record):
                  "selected_L")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["L", "n", "count", "estimate"])
-        for r in self.rows:
-            writer.writerow([r["L"], r["n"], r["count"], f"{r['estimate']:.6f}"])
-        return buf.getvalue()
+        return _csv_text(["L", "n", "count", "estimate"],
+                         ([r["L"], r["n"], r["count"], f"{r['estimate']:.6f}"]
+                          for r in self.rows))
 
 
 def c_entropy_profile(graph: GraphSlice, Lmax: int, nmax: int,
@@ -122,8 +121,7 @@ def bound_check(graph: GraphSlice, L: int, N: int, qmax: int) -> BoundReport:
     climb at most one vertex, and the spine edge u -> u+1 extends it, so
     the counts grow as long as every such u keeps that edge.
     """
-    if not 1 <= L <= graph.K:
-        raise ValueError(f"L must be within 1..{graph.K}")
+    _check_L(graph, L)
     b = graph.alphabet
     window = graph.K - (L - 1)
     # a_1^(n): length-n paths from V_{L-1} that stay at or above V_L
@@ -149,8 +147,7 @@ def split(graph: GraphSlice, L: int, w) -> tuple[Word, Word]:
     """Split an admissible word as (good)(excursion): cut after the last
     walk position at a vertex below L."""
     w = word(w)
-    if not 1 <= L <= graph.K:
-        raise ValueError(f"L must be within 1..{graph.K}")
+    _check_L(graph, L)
     vseq = walk(graph, w)
     if vseq is None:
         raise ValueError(f"{w} is not admissible")
@@ -240,7 +237,7 @@ def glue(graph: GraphSlice, spec: ShiftSpec, L: int, M: int, words_in,
         if vseq[-1] > M + L - 1:
             raise NotInGM(f"{w} ends at V_{vseq[-1]} > {M + L - 1}")
         ends.append(vseq[-1])
-    if graph.out[0].get(1) != 0:
+    if graph[0].get(1) != 0:
         raise NoSelfLoop("gluing pads with ones; needs the 1-loop at V_0")
 
     verified = "exact" if not spec.prefix_mode else f"horizon:{len(spec.upper)}"

@@ -11,14 +11,14 @@ The edges come from the upper-bound track of the suffix-match automaton in
 
 For an eventually periodic bound the rows repeat: the track is folded at
 (N, P) (the lemma at `language._Track`: rows repeat with period P from N on,
-spine edges moving up), so a slice stores V_0..V_{N+P-1} from the track and
-serves every higher row on demand as the row P below it with its spine edge
-moved up (`_Rows`); building V_0..V_K costs N + P rows whatever K is.  The
-walkers read rows through `_row` (one vertex) and `_rows` (a range), which
-map a served vertex into the fold without building its row.  A finite
-bound prefix has no fold; each of its rows comes from the track.  The
-exports emit rows in source order, each sorted on its own, since a row's
-spine edge is its top edge.
+spine edges moving up), so a slice stores V_0..V_{N+P-1} from the track in
+its `head` and serves every higher row on demand as the row P below it with
+its spine edge moved up; building V_0..V_K costs N + P rows whatever K is.
+The walkers read rows through `_row` (one vertex) and `_rows` (a range),
+which map a served vertex into the fold without building its row.  A
+finite bound prefix has no fold; each of its rows comes from the track.
+The exports emit rows in source order, each sorted on its own, since a
+row's spine edge is its top edge.
 
 The slice stores vertices 0..K only.  Operations never extrapolate: walks
 and counts that would leave the slice raise TruncationInsufficient, even
@@ -43,14 +43,13 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import chain, cycle, islice
 from typing import Iterator, Optional
 
 from .errors import (PrefixTooShort, TruncationInsufficient,
                      TwoSidedUnsupported)
 from .language import ShiftSpec, _lex_words, _Track, _walk_count, _walk_counts
-from .order import BoundSeq, EvPeriodicSeq, Word, bound_len, word
+from .order import BoundSeq, EvPeriodicSeq, Word, _Frozen, bound_len, word
 
 
 def k_of(bprefix: BoundSeq, w) -> int:
@@ -79,19 +78,25 @@ def k_of(bprefix: BoundSeq, w) -> int:
     return state
 
 
-class _Rows(Sequence):
-    """The out-rows of V_0 .. V_K on a slice with a fold (N, P), K >= N + P:
-    the track's rows of V_0 .. V_{N+P-1} are stored, and a row i >= N + P
-    is served on each access as a new dict, the row j = N + (i - N) mod P
-    with its spine edge b_{j+1} -> j + 1 moved to i + 1 (dropped at V_K).
-    It reads as the tuple of every row would: by length, index, slice,
-    iteration and ==."""
+class GraphSlice(_Frozen, Sequence):
+    """Vertices 0..K of the presentation with all in-slice edges.
 
-    __slots__ = ("head", "top", "N", "P", "K", "spine")
+    The slice reads as the tuple of its K + 1 rows, one dict label -> target
+    per vertex, the spine edge from V_K omitted: by length, index, slice and
+    iteration.  `head` stores every row, except on a slice with a fold (N, P)
+    and K >= N + P, where it stores the rows of V_0 .. V_{N+P-1} and a row
+    i >= N + P is served on each access as a new dict, the row
+    j = N + (i - N) mod P with its spine edge b_{j+1} -> j + 1 moved to
+    i + 1 (dropped at V_K); walkers read rows through `_row` and `_rows`
+    instead.  == compares K, the spine and every row, not the fold, and a
+    slice is unhashable."""
 
-    def __init__(self, head: tuple, N: int, P: int, K: int, spine: Word):
-        self.head, self.top, self.N, self.P = head, len(head), N, P
-        self.K, self.spine = K, spine
+    __slots__ = ("K",
+                 "spine",  # b_1 .. b_{K+1}: spine[i] labels V_i -> V_{i+1}
+                 "head",   # the stored rows
+                 # (N, P) of the bound's fold: rows >= N repeat with period
+                 # P; None for the slice of a finite bound prefix
+                 "fold")
 
     def __len__(self) -> int:
         return self.K + 1
@@ -103,38 +108,25 @@ class _Rows(Sequence):
             i += self.K + 1
         if not 0 <= i <= self.K:
             raise IndexError("row index out of range")
-        if i < self.top:
-            return self.head[i]
-        j = self.N + (i - self.N) % self.P
-        row = dict(self.head[j])
-        if i == self.K:
-            del row[self.spine[j]]
-        else:
-            row[self.spine[j]] = i + 1
-        return row
+        row, j = _row(self, i)
+        return {**row, self.spine[j]: i + 1} if j < i else row
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, _Rows)):
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
+        return (self.K == other.K and self.spine == other.spine
+                and all(map(operator.eq, self, other)))
 
+    __hash__ = None
 
-@dataclass(frozen=True)
-class GraphSlice:
-    """Vertices 0..K of the presentation with all in-slice edges.
+    @property
+    def out(self) -> "GraphSlice":
+        """The rows: the slice itself."""
+        return self
 
-    `out` reads as a tuple of K + 1 dicts label -> target, one per vertex,
-    the spine edge from V_K omitted.  On a slice with a fold and K >= N + P
-    it is a `_Rows`, which stores N + P of them and builds the others on
-    access; walkers read rows through `_row` and `_rows` instead."""
-
-    K: int
-    spine: Word            # b_1 .. b_{K+1}: spine[i] labels V_i -> V_{i+1}
-    out: Sequence[dict[int, int]]
-    alphabet: int
-    # (N, P) of the bound's fold: rows >= N repeat with period P; None for
-    # the slice of a finite bound prefix
-    fold: Optional[tuple[int, int]] = field(default=None, compare=False)
+    @property
+    def alphabet(self) -> int:
+        return self.spine[0]
 
     @property
     def complete(self) -> tuple:
@@ -176,19 +168,21 @@ class GraphSlice:
 
 
 def _row(graph: GraphSlice, v: int) -> tuple[dict[int, int], int]:
-    """(row, j): the out-edges of V_v are those of row, but that row's only
-    edge above j, its spine edge into j + 1, is V_v's spine edge into
-    v + 1 (every other edge of a row falls to at most its own vertex).  A
-    served row of a `_Rows` is read from its stored row j, with no dict
-    built; otherwise j = v."""
-    out = graph.out
-    if type(out) is _Rows:
-        if v < out.top:
-            return out.head[v], v
-        if v < out.K:
-            j = out.N + (v - out.N) % out.P
-            return out.head[j], j
-    return out[v], v
+    """(row, j): the out-edges of V_v, 0 <= v <= K, are those of row, but
+    that row's only edge above j, its spine edge into j + 1, is V_v's spine
+    edge into v + 1 (every other edge of a row falls to at most its own
+    vertex).  A served row below V_K is read from its stored row j, with no
+    dict built; otherwise j = v."""
+    head = graph.head
+    if v < len(head):
+        return head[v], v
+    N, P = graph.fold
+    j = N + (v - N) % P
+    if v < graph.K:
+        return head[j], j
+    row = dict(head[j])
+    del row[graph.spine[j]]  # the spine edge from V_K leaves the slice
+    return row, v
 
 
 def _rows(graph: GraphSlice, lo: int,
@@ -196,17 +190,17 @@ def _rows(graph: GraphSlice, lo: int,
     """(v, row, j) with `_row`'s (row, j) of V_v for v = lo .. hi - 1,
     read in bulk: the served rows below V_K cycle through the stored rows
     N .. N + P - 1."""
-    out, vs = graph.out, range(lo, hi)
-    if type(out) is not _Rows:
-        return zip(vs, out[lo:hi], vs)
-    if hi <= out.top:
-        return zip(vs, out.head[lo:hi], vs)
-    mid, end = max(lo, min(hi, out.top)), max(lo, min(hi, out.K))
-    phase = (mid - out.N) % out.P
-    js = [*range(lo, mid), *islice(cycle(range(out.N, out.top)), phase,
+    head, vs = graph.head, range(lo, hi)
+    top = len(head)
+    if hi <= top:
+        return zip(vs, head[lo:hi], vs)
+    (N, P), K = graph.fold, graph.K
+    mid, end = max(lo, min(hi, top)), max(lo, min(hi, K))
+    phase = (mid - N) % P
+    js = [*range(lo, mid), *islice(cycle(range(N, top)), phase,
                                    phase + end - mid)]
-    rows = zip(vs, map(out.head.__getitem__, js), js)
-    return rows if end == hi else chain(rows, [(out.K, out[out.K], out.K)])
+    rows = zip(vs, map(head.__getitem__, js), js)
+    return rows if end == hi else chain(rows, [(K, *_row(graph, K))])
 
 
 def build_graph(b: BoundSeq, K: int) -> GraphSlice:
@@ -231,12 +225,9 @@ def build_graph(b: BoundSeq, K: int) -> GraphSlice:
         row = track.row(i, spine[0])
         row[spine[i]] = i + 1
         head.append(row)
-    if top <= K:
-        out: Sequence[dict[int, int]] = _Rows(tuple(head), *fold, K, spine)
-    else:
+    if top > K:
         del head[K][spine[K]]  # the spine edge from V_K leaves the slice
-        out = tuple(head)
-    return GraphSlice(K, spine, out, spine[0], fold)
+    return GraphSlice(K, spine, tuple(head), fold)
 
 
 def build_graph_for_spec(spec: ShiftSpec, K: int) -> GraphSlice:

@@ -39,7 +39,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 from typing import Iterator, Optional
@@ -47,7 +46,8 @@ from typing import Iterator, Optional
 from .errors import HorizonExhausted, NotOddPeriodic, SpecPrefixTooShort
 from .numeric import GOLDEN_UPPER, BetaValue, _d1_cycle, expand
 from .order import (BoundSeq, EvPeriodicSeq, Word, _alt_sign, _failure_table,
-                    _Record, bound_digit, bound_len, is_alt_shift_maximal, word)
+                    _Frozen, _Record, bound_digit, bound_len,
+                    is_alt_shift_maximal, word)
 
 YES, NO, UNDETERMINED = "yes", "no", "undetermined"
 
@@ -65,19 +65,14 @@ def derived_lower_bound(upper: BoundSeq) -> EvPeriodicSeq:
     return EvPeriodicSeq.make((), (1,) + per[:-1] + (per[-1] - 1,))
 
 
-# ShiftSpec and GraphSlice stay dataclasses, unlike the package's other
-# value classes (see `order._Record`): tests copy them with
-# dataclasses.replace, and ShiftSpec._automaton, a cached_property, needs an
-# instance __dict__.
-@dataclass(frozen=True)
-class ShiftSpec:
+class ShiftSpec(_Frozen):
     """Defining data of a shift: alphabet size, upper bound sequence and an
     optional lower bound (present exactly in the odd-period case)."""
 
-    alphabet: int
-    upper: BoundSeq
-    lower: Optional[EvPeriodicSeq] = None
-    origin: Optional[BetaValue] = field(default=None, compare=False)
+    __slots__ = ("alphabet", "upper", "lower", "origin",
+                 "__dict__")  # holds `_automaton` once built
+    _cmp = ("alphabet", "upper", "lower")
+    _defaults = (None, None)
 
     @staticmethod
     def make(upper, lower=None, origin=None) -> "ShiftSpec":
@@ -101,7 +96,7 @@ class ShiftSpec:
     @staticmethod
     def golden() -> "ShiftSpec":
         """The shift bounded by 2(1)^inf, i.e. base (1+sqrt 5)/2."""
-        return ShiftSpec(2, GOLDEN_UPPER, origin=BetaValue.golden())
+        return ShiftSpec(2, GOLDEN_UPPER, None, BetaValue.golden())
 
     @staticmethod
     def from_beta(beta: BetaValue, horizon: int = 256,
@@ -128,7 +123,7 @@ class ShiftSpec:
         upper = got.digits[: got.certified]
         if not upper:
             raise ValueError("empty prefix")
-        return ShiftSpec(upper[0], upper, origin=beta)
+        return ShiftSpec(upper[0], upper, None, beta)
 
     @property
     def two_sided(self) -> bool:
@@ -146,9 +141,9 @@ class ShiftSpec:
 
     @cached_property
     def _automaton(self) -> "_Automaton":
-        # kept in the instance __dict__, beside the fields: ==, hash, repr
-        # and dataclasses.replace see the bounds only, and a replaced spec
-        # builds its own automaton
+        # kept in the instance __dict__, beside the fields: ==, hash and
+        # repr see the fields only, and a copy or an unpickled spec is
+        # rebuilt through __init__ and builds its own automaton
         return _Automaton(self)
 
 
@@ -460,14 +455,19 @@ class CountTable(_Record):
     __slots__ = ("rows",)  # n, count_words, count_per (optional), exact
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "count_L", "count_Per", "exact"])
-        for r in self.rows:
-            per = r.get("count_per")
-            writer.writerow([r["n"], r["count_words"],
-                             "" if per is None else per, int(r["exact"])])
-        return buf.getvalue()
+        return _csv_text(["n", "count_L", "count_Per", "exact"],
+                         ([r["n"], r["count_words"],
+                           "" if (per := r.get("count_per")) is None else per,
+                           int(r["exact"])] for r in self.rows))
+
+
+def _csv_text(header: list, rows) -> str:
+    """The header line and the rows as `csv.writer` writes them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _walk_terms(start, nmax: int, targets, size: int):

@@ -7,16 +7,14 @@ period blocks), and logarithms only appear in reports.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import EmptyPer
-from .language import (CountTable, ShiftSpec, _per_blocks, _per_counts,
-                       count_words)
+from .language import (CountTable, ShiftSpec, _csv_text, _per_blocks,
+                       _per_counts, count_words)
 from .order import Word, _Record, word
 
 
@@ -195,15 +193,11 @@ class WeakStarTable(_Record):
                  "deviations")  # successive sup-distances over the table
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["word"] + [f"mu_{n}" for n in self.ns])
-        for w in sorted(self.masses):
-            row = ["".join(map(str, w))]
-            for q in self.masses[w]:
-                row.append("" if q is None else f"{q.numerator}/{q.denominator}")
-            writer.writerow(row)
-        return buf.getvalue()
+        return _csv_text(["word"] + [f"mu_{n}" for n in self.ns],
+                         (["".join(map(str, w))]
+                          + ["" if q is None else f"{q.numerator}/{q.denominator}"
+                             for q in self.masses[w]]
+                          for w in sorted(self.masses)))
 
 
 def weakstar_diagnostic(spec: ShiftSpec, ns: Sequence[int], m: int,

@@ -260,16 +260,24 @@ def step(beta: BetaValue, x: UnitPoint) -> tuple[int, UnitPoint]:
 _ROUND_GUARD = 32
 
 
-def _refine(best: list[int], orbit: Iterator[tuple[int, int, int, int]],
-            n: int) -> list[int]:
-    """The orbit's first n digits, cut at its first ambiguous digit; they
-    must extend best, the prefix that the previous precision certified."""
+def _read(orbit: Iterator[tuple[int, int, int, int]],
+          n: int) -> tuple[list[int], bool]:
+    """The orbit's first n digits, cut at its first ambiguous digit, and
+    whether it was so cut; an orbit that turns empty first is not cut."""
     digits: list[int] = []
     try:
         for d, _, _, _ in islice(orbit, n):
             digits.append(d)
     except AmbiguousDigit:
-        pass
+        return digits, True
+    return digits, False
+
+
+def _refine(best: list[int], orbit: Iterator[tuple[int, int, int, int]],
+            n: int) -> list[int]:
+    """`_read`'s digits, which must extend best, the prefix that the
+    previous precision certified."""
+    digits = _read(orbit, n)[0]
     if digits[: len(best)] != best:
         raise AssertionError("certified digits changed under refinement")
     return digits
@@ -278,13 +286,8 @@ def _refine(best: list[int], orbit: Iterator[tuple[int, int, int, int]],
 def _fails_at(orbit: Iterator[tuple[int, int, int, int]], n: int) -> Optional[int]:
     """The step at which the orbit raises AmbiguousDigit within n steps;
     None if it decides n digits or ends first (turns empty)."""
-    t = 0
-    try:
-        for t, _ in enumerate(islice(orbit, n), 1):
-            pass
-    except AmbiguousDigit:
-        return t
-    return None
+    digits, cut = _read(orbit, n)
+    return len(digits) if cut else None
 
 
 def expand(beta: BetaValue, x: UnitPoint, n: int, max_bits: int = 4096) -> CertifiedDigits:

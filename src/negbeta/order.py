@@ -7,24 +7,26 @@ under which the digit-expansion map of a negative-base transformation is
 monotone, and it decides admissibility everywhere else in this package.
 
 The package's value classes derive from `_Record` (or `_Frozen`, for the
-immutable and hashable ones) instead of being generated by `@dataclass`.
-The base gives them the constructor, __repr__, __eq__ and __hash__ that a
-dataclass would, all read off the class's __slots__: __init__ takes the
-fields in slot order, by position or keyword, fills trailing ones from the
-class's `_defaults` tuple and raises TypeError, as a dataclass does, for
-a missing field, an unknown keyword, a positional too many or a keyword
-repeating a positional.  A class writes its own __init__ only to check
-its arguments first (`numeric.IntervalValue` refuses lo > hi).
-`@dataclass` builds every method from source text and execs it, class by
-class, whenever the package is imported afresh, which took close to a
-quarter of such an import; these methods are compiled with their module,
-as any other function is.
+immutable ones) instead of being generated by `@dataclass`.  The base
+gives them the constructor, __repr__, __eq__ and __hash__ that a dataclass
+would, all read off the class's fields: its __slots__ in order, less an
+optional "__dict__" slot, which holds memos such as a cached_property's
+value and is no field.  __init__ takes the fields in order, by position
+or keyword, fills trailing ones from the class's `_defaults` tuple and
+raises TypeError, as a dataclass does, for a missing field, an unknown
+keyword, a positional too many or a keyword repeating a positional.  A
+class writes its own __init__ only to check its arguments first
+(`numeric.IntervalValue` refuses lo > hi).  `@dataclass` builds every
+method from source text and execs it, class by class, whenever the package
+is imported afresh, and importing `dataclasses` loads `inspect`, `ast`,
+`dis` and `tokenize`; these methods are compiled with their module, as any
+other function is, and `dataclasses` is imported only to raise its
+FrozenInstanceError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError
 from typing import Optional
 
 from .errors import LengthMismatch
@@ -74,7 +76,8 @@ def cmp_prefix(u: Word, v) -> int:
 
 
 class _Record:
-    """A value record whose fields are the class's __slots__, in order.
+    """A value record whose fields are the class's __slots__, in order,
+    less a "__dict__" slot (`_fields`).
 
     __init__, repr, == and hash are those of a dataclass over the same
     fields: the last len(`_defaults`) fields take those defaults, == compares
@@ -88,10 +91,11 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._cmp = cls.__dict__.get("_cmp", cls.__slots__)
+        cls._fields = tuple([f for f in cls.__slots__ if f != "__dict__"])
+        cls._cmp = cls.__dict__.get("_cmp", cls._fields)
 
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
+        names = self._fields
         if kwargs or len(args) != len(names):
             args = self._bind(args, kwargs)
         for name, value in zip(names, args):
@@ -99,9 +103,9 @@ class _Record:
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
-        # the field values in slot order, or the TypeError a dataclass's
+        # the field values in order, or the TypeError a dataclass's
         # __init__ raises for the same call
-        names, defaults = cls.__slots__, cls._defaults
+        names, defaults = cls._fields, cls._defaults
         if len(args) > len(names):
             raise TypeError(f"{cls.__qualname__}() takes {len(names)} positional "
                             f"arguments but {len(args)} were given")
@@ -124,7 +128,7 @@ class _Record:
         return tuple([getattr(self, f) for f in self._cmp])
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __eq__(self, other):
@@ -134,7 +138,8 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """A hashable record whose fields are set once, by `_Record.__init__`."""
+    """A record whose fields are set once, by `_Record.__init__`; hashable
+    unless the class sets __hash__ to None."""
 
     __slots__ = ()
 
@@ -142,15 +147,18 @@ class _Frozen(_Record):
         return hash(self._key())
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, which the frozen
-        # __setattr__ leaves as the only way to set the fields
-        return self.__class__, tuple([getattr(self, f) for f in self.__slots__])
+        # __setattr__ leaves as the only way to set the fields; a memo in
+        # the "__dict__" slot is not carried over
+        return self.__class__, tuple([getattr(self, f) for f in self._fields])
 
 
 class EvPeriodicSeq(_Frozen):

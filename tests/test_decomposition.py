@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -12,7 +11,8 @@ from negbeta.decomposition import (GlueResult, bound_check, c_count,
                                    t_gap)
 from negbeta.errors import (GlueFailed, NoSelfLoop, NotInGM,
                             TruncationInsufficient)
-from negbeta.graph import build_graph, build_graph_for_spec, path_counts, walk
+from negbeta.graph import (GraphSlice, build_graph, build_graph_for_spec,
+                           path_counts, walk)
 from negbeta.language import (ShiftSpec, is_admissible, iter_words,
                               periodic_block_ok)
 from negbeta.numeric import BetaValue
@@ -161,7 +161,7 @@ def test_monotone_ok_reads_a_missing_spine_edge():
         for u in (L, gs.K - 1):
             out = list(gs.out)
             out[u] = {a: t for a, t in out[u].items() if t != u + 1}
-            broken = dataclasses.replace(gs, out=tuple(out))
+            broken = GraphSlice(gs.K, gs.spine, tuple(out), None)
             assert not bound_check(broken, L, 4, 3).monotone_ok, (gs.K, L, u)
 
 

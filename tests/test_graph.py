@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import random
@@ -412,11 +411,13 @@ def test_build_graph_matches_per_vertex_build():
     assert build_graph(word("3232133"), 5).fold is None
 
 
-def _tuple_rows(g):
-    # the same slice with every row held in a plain tuple, which the
-    # walkers read row by row instead of through the fold
-    h = dataclasses.replace(g, out=tuple(g.out))
-    assert type(h.out) is tuple and h == g and h.out == g.out == h.out
+def _tuple_rows(b, g):
+    # the same slice built from the bound's (K + 2)-digit prefix, which has
+    # no fold: its head stores every row, which the walkers read row by row
+    # instead of through the fold
+    h = build_graph(b.prefix(g.K + 2), g.K)
+    assert h.fold is None and len(h.head) == g.K + 1
+    assert h == g and tuple(h.out) == tuple(g.out)
     return h
 
 
@@ -432,7 +433,7 @@ def test_served_rows_read_as_tuple_rows():
     K = 120
     for b in FOLD_BOUNDS:
         g = build_graph(b, K)
-        h = _tuple_rows(g)
+        h = _tuple_rows(b, g)
         N, P = g.fold
         assert g.out[N + P:K + 1:7] == h.out[N + P:K + 1:7]
         assert g.out[-1] == h.out[-1] and g.out[K] == h.out[K]

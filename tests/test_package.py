@@ -1,14 +1,18 @@
 import copy
 import dataclasses
 import importlib
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import negbeta
-from negbeta import decomposition, factors, graph, language, measures, numeric, order
+from negbeta import decomposition, factors, language, measures, numeric, order
 
 
 def test_public_names_resolve():
@@ -21,23 +25,53 @@ def test_public_names_resolve():
     assert set(negbeta.__all__) <= set(namespace)
 
 
-def test_only_shift_spec_and_graph_slice_are_dataclasses():
+def test_no_class_is_a_dataclass():
     # @dataclass builds its methods from source text and execs them at
     # every fresh import of the package, which a benchmark's set-up repeats;
-    # the other value classes derive from order._Record, compiled once.
-    # ShiftSpec and GraphSlice stay dataclasses: tests copy them with
-    # dataclasses.replace, and ShiftSpec's cached_property needs a __dict__.
+    # the value classes derive from order._Record, compiled once
     found = set()
     for info in pkgutil.iter_modules(negbeta.__path__):
         module = importlib.import_module(f"negbeta.{info.name}")
         found |= {obj for obj in vars(module).values()
                   if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
-    assert found == {language.ShiftSpec, graph.GraphSlice}
+    assert found == set()
+
+
+def test_fresh_import_loads_no_dataclasses_or_inspect():
+    # importing dataclasses loads inspect, ast, dis and tokenize; the
+    # package imports it only to raise FrozenInstanceError (about 0.1 s,
+    # a fresh interpreter)
+    code = ("import sys, negbeta.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(negbeta.__file__).parents[1])}
+    got = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert got.stdout == "[]\n"
+
+
+def test_spec_copies_build_their_own_automaton():
+    # copy and pickle rebuild a spec through __init__: equal, with the same
+    # hash and repr, and without the automaton kept in the original's
+    # __dict__
+    specs = [language.ShiftSpec.golden(), language.ShiftSpec.make((3, 2, 3, 2, 1, 3, 3)),
+             language.ShiftSpec.from_beta(numeric.BetaValue.from_rational(2)),
+             language.ShiftSpec.from_beta(numeric.BetaValue.from_rational(Fraction(13, 10)))]
+    for spec in specs:
+        assert spec._automaton is spec.__dict__["_automaton"]
+        twins = [copy.copy(spec), copy.deepcopy(spec)]
+        if spec.origin is None or spec.origin.refiner is None:
+            twins.append(pickle.loads(pickle.dumps(spec)))
+        for twin in twins:
+            assert twin == spec and hash(twin) == hash(spec)
+            assert repr(twin) == repr(spec)
+            assert "_automaton" not in twin.__dict__
+            assert twin._automaton is not spec._automaton
 
 
 # Each record class as the dataclass it replaces: its fields in order, the
 # defaults of the trailing fields, and the fields left out of == and hash.
 _RECORDS = [
+    (language.ShiftSpec, True, "alphabet upper lower origin", (None, None), ("origin",)),
     (order.EvPeriodicSeq, True, "preperiod period", (), ()),
     (order.ShiftMaximality, True, "status witness", (None,), ()),
     (numeric.IntervalValue, True, "lo hi", (), ()),
@@ -93,7 +127,7 @@ def _samples(names):
 def test_records_behave_as_their_dataclasses():
     for cls, frozen, names, defaults, uncompared in _RECORDS:
         names = names.split()
-        assert cls.__slots__ == tuple(names), cls
+        assert cls._fields == tuple(names), cls
         oracle = _oracle(cls, frozen, names, defaults, uncompared)
         samples = list(_samples(names))
         required = samples[0][:len(names) - len(defaults)]
